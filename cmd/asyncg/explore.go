@@ -20,7 +20,7 @@ import (
 // and replay of recorded schedule tokens. It returns the process exit
 // code; Ctrl-C / SIGTERM cancel the exploration gracefully, flushing
 // whatever NDJSON was produced.
-func runExplore(args []string) int {
+func runExplore(args []string) (code int) {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	var (
 		targetSpec = fs.String("target", "", "registry target spec: case:<id>[:fixed] or acmeair[:requests=N,clients=N,seed=N] (alternative to -case/-acmeair)")
@@ -44,6 +44,8 @@ func runExplore(args []string) int {
 		traceOut   = fs.String("trace", "", "with -replay: write an event trace of the replayed run")
 		traceFmt   = fs.String("trace-format", "ndjson", "trace serialization: ndjson or chrome")
 		expectSome = fs.Bool("expect-sometimes", false, "exit 1 unless a sometimes-classified warning with witness and counter-witness was found (CI smoke)")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the exploration (or replay) to this file, for go tool pprof")
+		memProf    = fs.String("memprofile", "", "write an allocation profile to this file when the exploration (or replay) ends, for go tool pprof")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage: asyncg explore -case <id> [flags]\n")
@@ -77,6 +79,20 @@ func runExplore(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return exitUsage
 	}
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if code == exitOK {
+				code = exitUsage
+			}
+		}
+	}()
 
 	if *replay != "" {
 		return replaySchedule(target, *replay, *traceOut, *traceFmt, *chains, *debugStack)

@@ -137,9 +137,9 @@ func AcmeAirTarget(requests, clients int, seed int64) Target {
 
 // acmeAirRunner reuses one session (loop, network, database, graph
 // builder, detectors) across repeated AcmeAir executions. The sample
-// data, application, and workload driver are rebuilt per run — Reset
-// wipes the database and the network's connection state — but their
-// storage comes back out of the session's pools warm.
+// data is loaded and checkpointed once, when the session is created;
+// Reset returns the database to that checkpoint. The application and
+// workload driver are rebuilt per run out of the session's warm pools.
 type acmeAirRunner struct {
 	requests, clients int
 	seed              int64
@@ -153,13 +153,13 @@ func (r *acmeAirRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
 	if r.session == nil {
 		opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 100_000_000})}, extra...)
 		r.session = asyncg.New(opts...)
-		loop := r.session.Loop()
-		r.net = netio.New(loop, netio.Options{})
-		r.db = mongosim.New(loop, mongosim.Options{})
+		r.net = netio.New(r.session.Loop(), netio.Options{})
+		r.db = mongosim.New(r.session.Loop(), mongosim.Options{})
+		acmeair.LoadSampleData(r.db, acmeair.DefaultDataSpec())
+		r.db.Checkpoint()
 	} else {
 		r.session.Apply(extra...)
 	}
-	acmeair.LoadSampleData(r.db, acmeair.DefaultDataSpec())
 	app := acmeair.New(r.session.Loop(), r.net, r.db, acmeair.Config{UsePromises: true})
 	driver := workload.NewDriver(r.net, workload.Options{
 		Port:     app.Port(),

@@ -1,7 +1,14 @@
 package explore
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
+
+	"asyncg"
+	"asyncg/internal/acmeair"
+	"asyncg/internal/eventloop"
+	"asyncg/internal/mongosim"
 )
 
 // TestRunnerReuseMatchesFresh is the Runner contract's observational
@@ -104,15 +111,102 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 	}
 }
 
+// TestAcmeAirRunnerReuseMatchesFresh is TestRunnerReuseMatchesFresh
+// for the AcmeAir target, whose runner loads the sample database once
+// and Resets it to a checkpoint instead of reloading it. data-order
+// (in AllKinds) permutes query results, so it also checks that the
+// restored collections keep the natural order of a fresh load.
+func TestAcmeAirRunnerReuseMatchesFresh(t *testing.T) {
+	kindSets := []struct {
+		name  string
+		kinds []eventloop.ChoiceKind
+	}{{"default", DefaultKinds()}, {"all", AllKinds()}}
+	for _, driver := range []int64{1, 2} {
+		tg := AcmeAirTarget(20, 3, driver)
+		fresh := tg
+		fresh.NewRunner = nil
+		reused := tg
+		reused.Run = nil
+		for _, ks := range kindSets {
+			t.Run(fmt.Sprintf("driver%d-%s", driver, ks.name), func(t *testing.T) {
+				opts := func(workers int) []Option {
+					return []Option{WithStrategy(NewCoverage(driver)), WithRuns(12), WithKinds(ks.kinds...), WithWorkers(workers)}
+				}
+				var want string
+				for _, workers := range []int{1, 2, 4} {
+					freshJSON := resultJSON(t, mustRun(t, fresh, opts(workers)...))
+					reuseJSON := resultJSON(t, mustRun(t, reused, opts(workers)...))
+					if reuseJSON != freshJSON {
+						t.Fatalf("workers=%d: reused-runner result differs from fresh-session result\nfresh:  %s\nreused: %s",
+							workers, freshJSON, reuseJSON)
+					}
+					if want == "" {
+						want = freshJSON
+					} else if freshJSON != want {
+						t.Fatalf("workers=%d: result differs from workers=1\nwant: %s\ngot:  %s", workers, want, freshJSON)
+					}
+				}
+			})
+		}
+	}
+}
+
+// trafficRunner counts, after every run of the AcmeAir runner it wraps,
+// the bookings and updated customer profiles the run left in the DB.
+type trafficRunner struct {
+	*acmeAirRunner
+	runs, bookings, updates int
+}
+
+func (r *trafficRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
+	rep, err := r.acmeAirRunner.Run(extra...)
+	r.runs++
+	r.bookings += r.db.C(acmeair.ColBookings).Len()
+	for _, doc := range r.db.C(acmeair.ColCustomers).Docs() {
+		if doc["phoneNumber"] == "919-555-0000" { // the driver's profile update
+			r.updates++
+		}
+	}
+	return rep, err
+}
+
+// TestAcmeAirRunnerFixtureIntegrity: after a dozen reused runs whose
+// traffic books flights (inserting bookings, updating miles) and edits
+// profiles, a Reset runner's database must deep-equal a freshly loaded
+// one, down to the next _id it hands out. The runs perturb data order
+// only: it varies which flights get booked while every run still serves
+// all of its requests.
+func TestAcmeAirRunnerFixtureIntegrity(t *testing.T) {
+	tg := AcmeAirTarget(60, 3, 1)
+	tr := &trafficRunner{acmeAirRunner: tg.NewRunner().(*acmeAirRunner)}
+	shared := Target{Name: tg.Name, Run: tg.Run, NewRunner: func() Runner { return tr }}
+	mustRun(t, shared, WithSeed(3), WithRuns(12), WithKinds(eventloop.ChoiceDataOrder), WithWorkers(1))
+	if tr.runs < 10 || tr.bookings == 0 || tr.updates == 0 {
+		t.Fatalf("traffic too thin to test the fixture: %d runs, %d bookings, %d profile updates", tr.runs, tr.bookings, tr.updates)
+	}
+	tr.Reset()
+
+	fresh := mongosim.New(eventloop.New(eventloop.Options{}), mongosim.Options{})
+	acmeair.LoadSampleData(fresh, acmeair.DefaultDataSpec())
+	for _, name := range []string{acmeair.ColCustomers, acmeair.ColSessions, acmeair.ColFlights, acmeair.ColSegments, acmeair.ColBookings} {
+		if got, want := tr.db.C(name).Docs(), fresh.C(name).Docs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("collection %s after Reset differs from a fresh load (%d vs %d documents)", name, len(got), len(want))
+		}
+	}
+	if got, want := tr.db.C(acmeair.ColBookings).InsertSync(mongosim.Document{})["_id"], fresh.C(acmeair.ColBookings).InsertSync(mongosim.Document{})["_id"]; got != want {
+		t.Errorf("next _id after Reset = %v, fresh load = %v", got, want)
+	}
+}
+
 // TestAcmeAirRunnerSteadyStateAllocs gates the runner contract's
 // allocation claim on the heaviest target: once an acmeAirRunner is
-// warm, Reset+Run must recycle the session's arenas instead of
-// rebuilding them. Per-run state (sample data, app wiring, workload
-// driver) legitimately allocates on every run whichever path executes,
-// so the gate is relative: a warm runner must allocate measurably less
-// than a fresh session per run. A Reset regression that stops recycling
-// pushes the ratio to ~1.0; the warm path measures ~0.82 on this
-// workload.
+// warm, Reset+Run must recycle the session's arenas and restore the
+// sample database from its checkpoint instead of rebuilding either. A
+// fresh session loads the 740-document sample data on every run; a warm
+// runner allocates only per-run state (app wiring, workload driver,
+// inserted documents), measured at ~0.35 of the fresh path. A Reset that
+// stops recycling, or a runner that reloads the fixture, pushes the
+// ratio past 0.8.
 func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acmeair steady-state allocation gate in -short mode")
@@ -136,7 +230,7 @@ func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("fresh run: %v", err)
 		}
 	})
-	if ratio := steady / fresh; ratio > 0.95 {
-		t.Errorf("steady-state AllocsPerRun = %.0f vs fresh-session %.0f (ratio %.2f, want <= 0.95): runner reuse regressed to fresh-session allocation", steady, fresh, ratio)
+	if ratio := steady / fresh; ratio > 0.5 {
+		t.Errorf("steady-state AllocsPerRun = %.0f vs fresh-session %.0f (ratio %.2f, want <= 0.5): runner reuse regressed toward fresh-session allocation", steady, fresh, ratio)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"asyncg/internal/explore"
@@ -230,7 +231,7 @@ type coordinator struct {
 	planner planner
 	journal *journal
 
-	slots   chan *client // worker rotation; one in-flight shard per slot
+	pool    *workerPool // idle workers; one in-flight shard per worker
 	results chan shardResult
 
 	res   *explore.Result
@@ -240,9 +241,9 @@ type coordinator struct {
 
 func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) {
 	cfg := c.cfg
-	c.slots = make(chan *client, len(cfg.Workers))
+	c.pool = &workerPool{total: len(cfg.Workers), changed: make(chan struct{})}
 	for _, url := range cfg.Workers {
-		c.slots <- newClient(url, cfg.RequestTimeout)
+		c.pool.put(newClient(url, cfg.RequestTimeout))
 	}
 	c.results = make(chan shardResult)
 	c.seen = make(map[string]bool)
@@ -393,17 +394,16 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 		Shard:    &spec,
 	}
 	sr := shardResult{idx: idx, spec: spec}
+	var failed *client
 	for attempt := 0; ; attempt++ {
-		var cl *client
-		select {
-		case cl = <-c.slots:
-		case <-ctx.Done():
-			sr.err = ctx.Err()
+		cl, err := c.pool.get(ctx, failed)
+		if err != nil {
+			sr.err = err
 			c.results <- sr
 			return
 		}
 		out, err := cl.runShard(ctx, req)
-		c.slots <- cl // rotation: the next attempt prefers a different worker
+		c.pool.put(cl)
 		if err == nil {
 			if err := c.journal.commitShard(idx, spec, out); err != nil {
 				sr.err = fmt.Errorf("fleet: journaling shard %d: %w", idx, err)
@@ -422,6 +422,7 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 			return
 		}
 		sr.retries++
+		failed = cl
 		delay := backoffDelay(attempt, c.cfg.BackoffBase, c.cfg.BackoffCap, err)
 		c.cfg.Logf("fleet: shard %d attempt %d on %s failed (%v); retrying in %s", idx, attempt+1, cl.base, err, delay)
 		select {
@@ -432,6 +433,48 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 			return
 		}
 	}
+}
+
+// workerPool hands idle workers to shard dispatches in FIFO rotation.
+type workerPool struct {
+	mu      sync.Mutex
+	idle    []*client
+	total   int
+	changed chan struct{} // closed and replaced whenever a worker returns
+}
+
+// get takes an idle worker other than avoid, waiting for one to return
+// if none is idle. A retry passes the worker its last attempt failed
+// on, so it waits for a different worker rather than going straight
+// back to a dead one that fails fast while the live ones are busy. With
+// a single worker, avoid is ignored.
+func (p *workerPool) get(ctx context.Context, avoid *client) (*client, error) {
+	for {
+		p.mu.Lock()
+		for i, cl := range p.idle {
+			if cl != avoid || p.total == 1 {
+				p.idle = append(p.idle[:i], p.idle[i+1:]...)
+				p.mu.Unlock()
+				return cl, nil
+			}
+		}
+		changed := p.changed
+		p.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// put returns a worker to the back of the rotation.
+func (p *workerPool) put(cl *client) {
+	p.mu.Lock()
+	p.idle = append(p.idle, cl)
+	close(p.changed)
+	p.changed = make(chan struct{})
+	p.mu.Unlock()
 }
 
 // absorb folds one completed shard into the global result, run by run in

@@ -32,19 +32,39 @@ const (
 // DB is a simulated MongoDB instance bound to one event loop.
 //
 // The DB participates in the session Reset protocol: a loop reset
-// empties every collection and restarts the _id sequence, while the
-// collection objects themselves (and their interned API names) persist
-// for the next run, as do pooled op/hop records and cursor emitters.
+// returns every collection and the _id sequence to the last Checkpoint
+// (empty when none was taken), while the collection objects themselves
+// (and their interned API names) persist for the next run, as do pooled
+// op/hop records and cursor emitters. Checkpointed documents are the
+// same maps run after run: updates mutate them in place and Reset
+// undoes those writes, so a document handed out by a read must not be
+// mutated by its receiver — such a change would outlive the run.
 type DB struct {
 	loop        *eventloop.Loop
 	opts        Options
 	collections map[string]*Collection
 	idSeq       int64
 
+	// checkpointed is set by Checkpoint; baseID is the _id sequence it
+	// recorded and undo the field writes made to documents since, in
+	// order, which reset replays backwards.
+	checkpointed bool
+	baseID       int64
+	undo         []undoEntry
+
 	opFree     []*opRecord
 	hopFree    []*hopper
 	allCursors []*events.Emitter
 	cursorFree []*events.Emitter
+}
+
+// undoEntry records one field write: doc[key] held old (had) or was
+// absent (!had) before it.
+type undoEntry struct {
+	doc Document
+	key string
+	old any
+	had bool
 }
 
 // New creates a database and registers its reset hook.
@@ -64,15 +84,39 @@ func New(l *eventloop.Loop, opts Options) *DB {
 	return db
 }
 
-func (db *DB) reset() {
+// Checkpoint makes the current contents the state a loop reset returns
+// to: each collection's document list and the _id sequence are
+// recorded, and from then on every field write an update makes is
+// logged so that reset can undo it. Collections created after the
+// checkpoint reset to empty. Loaders call it once after populating the
+// DB, so that a reused session need not load the same data every run.
+func (db *DB) Checkpoint() {
 	for _, col := range db.collections {
-		for i := range col.docs {
-			col.docs[i] = nil
+		col.base = append(col.base[:0], col.docs...)
+	}
+	db.baseID = db.idSeq
+	db.checkpointed = true
+	clear(db.undo)
+	db.undo = db.undo[:0]
+}
+
+func (db *DB) reset() {
+	for i := len(db.undo) - 1; i >= 0; i-- {
+		u := db.undo[i]
+		if u.had {
+			u.doc[u.key] = u.old
+		} else {
+			delete(u.doc, u.key)
 		}
-		col.docs = col.docs[:0]
+	}
+	clear(db.undo)
+	db.undo = db.undo[:0]
+	for _, col := range db.collections {
+		clear(col.docs)
+		col.docs = append(col.docs[:0], col.base...)
 		col.key = 0
 	}
-	db.idSeq = 0
+	db.idSeq = db.baseID
 	for i, cur := range db.allCursors {
 		db.cursorFree = append(db.cursorFree, cur)
 		db.allCursors[i] = nil
@@ -118,7 +162,8 @@ type Collection struct {
 	name string
 	apis colAPIs
 	docs []Document
-	key  uint64 // independence key for read-only ops (POR)
+	base []Document // the document list at the DB's last Checkpoint
+	key  uint64     // independence key for read-only ops (POR)
 }
 
 // Name returns the collection name.
@@ -126,6 +171,11 @@ func (c *Collection) Name() string { return c.name }
 
 // Len returns the number of stored documents (synchronous; test helper).
 func (c *Collection) Len() int { return len(c.docs) }
+
+// Docs returns the stored documents in natural order (synchronous; test
+// helper). The slice is a copy; the documents are the stored maps and
+// must not be mutated.
+func (c *Collection) Docs() []Document { return append([]Document(nil), c.docs...) }
 
 // InsertSync stores a document synchronously — for data loaders that
 // populate the DB before the benchmark starts (the AcmeAir loader).
@@ -523,6 +573,10 @@ func (c *Collection) updateSync(query string, set Document) (int, error) {
 			for k, v := range set {
 				if k == "_id" {
 					return n, fmt.Errorf("mongosim: cannot update _id")
+				}
+				if c.db.checkpointed {
+					old, had := doc[k]
+					c.db.undo = append(c.db.undo, undoEntry{doc: doc, key: k, old: old, had: had})
 				}
 				doc[k] = v
 			}

@@ -1,6 +1,8 @@
 package mongosim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"asyncg/internal/eventloop"
@@ -386,5 +388,182 @@ func TestDistinctWithQuery(t *testing.T) {
 	})
 	if len(got) != 2 || got[0] != "SFO" || got[1] != "LAX" {
 		t.Fatalf("got = %v", got)
+	}
+}
+
+// loadFixture populates db with a small sample data set in the shape of
+// the AcmeAir loader's: flat flight documents and customers with a
+// nested address document.
+func loadFixture(db *DB) {
+	for i := 0; i < 4; i++ {
+		db.C("flight").InsertSync(Document{"flightId": fmt.Sprintf("AA%d", i), "price": 100 + i, "numSeats": 180})
+	}
+	for i := 0; i < 3; i++ {
+		db.C("customer").InsertSync(Document{
+			"username":  fmt.Sprintf("uid%d", i),
+			"miles_ytd": 1000,
+			"address":   Document{"city": "Anytown", "country": "USA"},
+		})
+	}
+}
+
+// snapshot deep-copies every non-empty collection, keyed by name.
+func snapshot(db *DB) map[string][]Document {
+	out := make(map[string][]Document)
+	for name, col := range db.collections {
+		if len(col.docs) == 0 {
+			continue
+		}
+		docs := make([]Document, len(col.docs))
+		for i, d := range col.docs {
+			docs[i] = d.Clone()
+		}
+		out[name] = docs
+	}
+	return out
+}
+
+// newCheckpointed returns a loop and DB loaded with the fixture and
+// checkpointed, plus a snapshot of the checkpoint.
+func newCheckpointed(t *testing.T) (*eventloop.Loop, *DB, map[string][]Document) {
+	t.Helper()
+	l := eventloop.New(eventloop.Options{TickLimit: 100_000})
+	db := New(l, Options{})
+	loadFixture(db)
+	db.Checkpoint()
+	return l, db, snapshot(db)
+}
+
+// runOn executes program as the main function of one run on l.
+func runOn(t *testing.T, l *eventloop.Loop, db *DB, program func(db *DB)) {
+	t.Helper()
+	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
+		program(db)
+		return vm.Undefined
+	})
+	if err := l.Run(main); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkAtCheckpoint asserts that db is back at the checkpoint want: every
+// collection deep-equals it, the undo log is empty and _id numbering
+// resumes from baseID.
+func checkAtCheckpoint(t *testing.T, db *DB, want map[string][]Document, baseID int64) {
+	t.Helper()
+	if got := snapshot(db); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after reset:\n got  %v\n want %v", got, want)
+	}
+	if len(db.undo) != 0 {
+		t.Fatalf("undo log holds %d entries after reset", len(db.undo))
+	}
+	if db.idSeq != baseID {
+		t.Fatalf("_id sequence = %d after reset, want %d", db.idSeq, baseID)
+	}
+}
+
+// TestCheckpointRoundTrip mutates a checkpointed DB through every write
+// path and checks that a loop reset restores the checkpoint exactly, on
+// two consecutive runs of the same loop.
+func TestCheckpointRoundTrip(t *testing.T) {
+	update := func(query string, set Document) func(db *DB) {
+		return func(db *DB) { db.C("customer").Update(loc.Here(), query, set, nil) }
+	}
+	cases := []struct {
+		name    string
+		program func(db *DB)
+	}{
+		{"insert", func(db *DB) {
+			db.C("flight").Insert(loc.Here(), Document{"flightId": "ZZ1"}, nil)
+			db.C("booking").InsertP(loc.Here(), Document{"bookingId": "b1"})
+		}},
+		{"update-existing-key", update(`username == "uid1"`, Document{"miles_ytd": 2000})},
+		{"update-new-key", update(``, Document{"phoneNumber": "919-555-0000"})},
+		{"update-multi-key", func(db *DB) {
+			update(`miles_ytd == 1000`, Document{"miles_ytd": 5, "status": "GOLD", "address": "none"})(db)
+			update(`username == "uid0"`, Document{"miles_ytd": 7})(db)
+		}},
+		{"remove", func(db *DB) {
+			db.C("flight").Remove(loc.Here(), `price >= 102`, nil)
+			db.C("customer").RemoveP(loc.Here(), `username == "uid0"`)
+		}},
+		{"wipe-and-reload", func(db *DB) {
+			db.C("flight").Remove(loc.Here(), ``, nil)
+			db.C("customer").Remove(loc.Here(), ``, cb("wiped", func(err, _ vm.Value) {
+				loadFixture(db)
+			}))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, db, want := newCheckpointed(t)
+			baseID := db.idSeq
+			for round := 0; round < 2; round++ {
+				runOn(t, l, db, tc.program)
+				if reflect.DeepEqual(snapshot(db), want) && db.idSeq == baseID {
+					t.Fatalf("round %d: program left the DB unchanged", round)
+				}
+				l.Reset()
+				checkAtCheckpoint(t, db, want, baseID)
+				if got := db.C("flight").InsertSync(Document{})["_id"]; got != baseID+1 {
+					t.Fatalf("round %d: first _id after reset = %v, want %d", round, got, baseID+1)
+				}
+				l.Reset()
+			}
+		})
+	}
+}
+
+// TestCheckpointUndoesFailedIDUpdate covers the "cannot update _id"
+// path: the set is applied key by key in map order, so an update whose
+// set also names _id may write some fields before it fails. Those
+// writes must be undone like any other.
+func TestCheckpointUndoesFailedIDUpdate(t *testing.T) {
+	l, db, want := newCheckpointed(t)
+	baseID := db.idSeq
+	set := Document{"_id": 99}
+	for i := 0; i < 8; i++ {
+		set[fmt.Sprintf("f%d", i)] = i
+	}
+	partial := 0
+	for attempt := 0; attempt < 64; attempt++ {
+		var gotErr vm.Value
+		runOn(t, l, db, func(db *DB) {
+			db.C("customer").Update(loc.Here(), ``, set, cb("u", func(err, _ vm.Value) { gotErr = err }))
+		})
+		if vm.IsUndefined(gotErr) {
+			t.Fatal("updating _id succeeded")
+		}
+		if len(db.undo) > 0 {
+			partial++
+		}
+		l.Reset()
+		checkAtCheckpoint(t, db, want, baseID)
+	}
+	if partial == 0 {
+		t.Fatal("no attempt applied a field before failing on _id; the partial path went untested")
+	}
+}
+
+// TestResetWithoutCheckpointEmpties: a DB that was never checkpointed
+// (the case studies') still resets to empty with _id restarting at 1.
+func TestResetWithoutCheckpointEmpties(t *testing.T) {
+	l := eventloop.New(eventloop.Options{TickLimit: 100_000})
+	db := New(l, Options{})
+	loadFixture(db)
+	runOn(t, l, db, func(db *DB) {
+		db.C("customer").Update(loc.Here(), ``, Document{"miles_ytd": 5}, nil)
+	})
+	if len(db.undo) != 0 {
+		t.Fatalf("an unchecked DB logged %d undo entries", len(db.undo))
+	}
+	l.Reset()
+	for name, col := range db.collections {
+		if col.Len() != 0 {
+			t.Fatalf("collection %s holds %d documents after reset", name, col.Len())
+		}
+	}
+	if got := db.C("flight").InsertSync(Document{})["_id"]; got != int64(1) {
+		t.Fatalf("first _id after reset = %v, want 1", got)
 	}
 }

@@ -16,25 +16,26 @@ import (
 // Document is one stored record.
 type Document map[string]any
 
-// Get resolves a (possibly dotted) field path.
+// Get resolves a (possibly dotted) field path. It walks the path in
+// place, without splitting it, so a lookup allocates nothing.
 func (d Document) Get(path string) (any, bool) {
-	cur := any(d)
-	for _, part := range strings.Split(path, ".") {
-		m, ok := cur.(Document)
-		if !ok {
-			if mm, ok2 := cur.(map[string]any); ok2 {
-				m = Document(mm)
-			} else {
-				return nil, false
-			}
-		}
+	m := d
+	for {
+		part, rest, dotted := strings.Cut(path, ".")
 		v, ok := m[part]
-		if !ok {
+		if !ok || !dotted {
+			return v, ok
+		}
+		switch sub := v.(type) {
+		case Document:
+			m = sub
+		case map[string]any:
+			m = sub
+		default:
 			return nil, false
 		}
-		cur = v
+		path = rest
 	}
-	return cur, true
 }
 
 // Clone deep-copies one level of the document (values are shared except

@@ -228,3 +228,17 @@ func TestDocumentClone(t *testing.T) {
 		t.Fatalf("clone aliases original: %v", orig)
 	}
 }
+
+// TestUndottedMatchAllocatesNothing: a comparison on a top-level field
+// runs once per stored document per query, so the lookup must not
+// allocate. Dotted paths are covered by TestDottedPaths.
+func TestUndottedMatchAllocatesNothing(t *testing.T) {
+	e := MustCompile(`flightSegmentId == "AA7" && price < 500`)
+	doc := Document{"flightSegmentId": "AA7", "price": 320, "address": Document{"city": "Anytown"}}
+	if !e.Match(doc) {
+		t.Fatal("query does not match its document")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.Match(doc) }); allocs != 0 {
+		t.Fatalf("Match on undotted paths allocates %.1f times per call, want 0", allocs)
+	}
+}
