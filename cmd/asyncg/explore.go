@@ -46,6 +46,7 @@ func runExplore(args []string) (code int) {
 		expectSome = fs.Bool("expect-sometimes", false, "exit 1 unless a sometimes-classified warning with witness and counter-witness was found (CI smoke)")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the exploration (or replay) to this file, for go tool pprof")
 		memProf    = fs.String("memprofile", "", "write an allocation profile to this file when the exploration (or replay) ends, for go tool pprof")
+		execTrace  = fs.String("exectrace", "", "write a runtime execution trace of the exploration (or replay) to this file, for go tool trace")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage: asyncg explore -case <id> [flags]\n")
@@ -80,7 +81,7 @@ func runExplore(args []string) (code int) {
 		return exitUsage
 	}
 
-	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	stopProfiles, err := startProfiles(*cpuProf, *memProf, *execTrace)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return exitUsage

@@ -32,6 +32,24 @@ func TestExploreWritesProfiles(t *testing.T) {
 	}
 }
 
+// TestExploreWritesExecTrace: -exectrace leaves a non-empty runtime
+// execution trace, recognisable by the header go tool trace expects.
+func TestExploreWritesExecTrace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "exec.trace")
+	if code := runExplore([]string{"-case", "SO-17894000", "-runs", "8", "-workers", "1",
+		"-ndjson", filepath.Join(dir, "runs.ndjson"), "-exectrace", path}); code != exitOK {
+		t.Fatalf("explore exit code = %d, want %d", code, exitOK)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte("go 1.")) || len(b) < 64 {
+		t.Fatalf("execution trace is %d bytes starting %q, want a go trace header and events", len(b), b[:min(len(b), 16)])
+	}
+}
+
 // profileFields gunzips a pprof profile and returns the field numbers
 // of its top-level protobuf message, failing on malformed input.
 func profileFields(path string) (map[uint64]bool, error) {

@@ -2,30 +2,41 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 )
 
-// startProfiles starts a CPU profile into cpuFile and arranges an
-// allocation profile into memFile; an empty name turns that profile
-// off. The returned stop ends the CPU profile and writes the allocation
-// profile; call it once, when the work to profile is done.
-func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuFile != "" {
-		if cpu, err = os.Create(cpuFile); err != nil {
-			return nil, err
-		}
-		if err = pprof.StartCPUProfile(cpu); err != nil {
+// startProfiles starts a CPU profile into cpuFile and a runtime
+// execution trace into traceFile, and arranges an allocation profile
+// into memFile; an empty name turns that output off. The returned stop
+// ends the CPU profile and the execution trace and writes the
+// allocation profile; call it once, when the work to profile is done.
+func startProfiles(cpuFile, memFile, traceFile string) (stop func() error, err error) {
+	cpu, err := startFile(cpuFile, pprof.StartCPUProfile)
+	if err != nil {
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	exec, err := startFile(traceFile, trace.Start)
+	if err != nil {
+		if cpu != nil {
+			pprof.StopCPUProfile()
 			cpu.Close()
-			return nil, fmt.Errorf("cpu profile: %w", err)
 		}
+		return nil, fmt.Errorf("execution trace: %w", err)
 	}
 	return func() error {
 		if cpu != nil {
 			pprof.StopCPUProfile()
 			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if exec != nil {
+			trace.Stop()
+			if err := exec.Close(); err != nil {
 				return err
 			}
 		}
@@ -43,4 +54,21 @@ func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
 		}
 		return f.Close()
 	}, nil
+}
+
+// startFile creates name and starts a recording into it; it returns a
+// nil file when name is empty.
+func startFile(name string, start func(io.Writer) error) (*os.File, error) {
+	if name == "" {
+		return nil, nil
+	}
+	f, err := os.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := start(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }

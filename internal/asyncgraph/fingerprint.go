@@ -1,68 +1,41 @@
 package asyncgraph
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"slices"
+	"math/bits"
 
 	"asyncg/internal/loc"
 )
 
+// FingerprintVersion names the algorithm behind Graph.Fingerprint and
+// prefixes every fingerprint it returns ("ag2-" plus 16 hex digits).
+// Fingerprints of different versions never compare equal, so anything
+// that stores or merges them across processes (fleet journals and
+// shard results) checks the prefix rather than mixing two algorithms'
+// graph classes.
+const FingerprintVersion = "ag2"
+
 // fingerprintRounds is the number of Weisfeiler-Lehman refinement
 // rounds. Three rounds propagate structure across CR→CE→(created nodes)
 // chains far enough to separate every graph shape the detectors care
-// about, while staying O(rounds · edges · log).
+// about.
 const fingerprintRounds = 3
 
-// Inline FNV-1a over the exact byte stream hash/fnv would see. The
-// refinement loop hashes every node every round; going through a heap-
-// allocated hash.Hash64 there dominated the per-run allocation profile
-// of schedule exploration, so the hashing is open-coded on uint64
-// state instead (same constants, same result).
+// Salts keep the hash domains apart: node fields, edge tags, and the
+// two directions an edge is seen from.
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	nodeSeed uint64 = 0x243f6a8885a308d3
+	edgeSeed uint64 = 0x13198a2e03707344
+	outSalt  uint64 = 0xa4093822299f31d0
+	inSalt   uint64 = 0x082efa98ec4e6c89
 )
 
-// fnvByte folds one byte into an FNV-1a state.
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-// fnvUint64 folds v's 8 little-endian bytes into the state, matching
-// putUint64-into-fnv byte order.
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-// fnvString folds a string plus a 0 separator into the state, without
-// the []byte conversion a hash.Hash64 Write would force.
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return fnvByte(h, 0)
-}
-
-// arc is one edge endpoint as the refinement sees it: the edge's tag
-// (kind + label) and the neighbour's index.
-type arc struct {
-	tag uint64
-	nbr int32
-}
-
-// fpScratch holds the working storage one Fingerprint call needs. It
-// lives on the Graph (created lazily on first use) so a graph that is
-// fingerprinted after every run — the explore engine's steady state —
-// reuses one allocation set instead of rebuilding labels, CSR views and
-// the hash stream each call.
+// fpScratch holds the label arrays one Fingerprint call needs. It lives
+// on the Graph (created lazily on first use) so a graph fingerprinted
+// after every run, the explore engine's steady state, reuses them.
 type fpScratch struct {
-	labels, next, tags, neigh []uint64
-	outArcs, inArcs           []arc
-	outOff, inOff, fill       []int32
-	stream                    []byte
+	labels, next, tags []uint64
 }
 
 // growU64 resizes buf to n elements, reallocating only when capacity is
@@ -70,26 +43,6 @@ type fpScratch struct {
 func growU64(buf *[]uint64, n int) []uint64 {
 	if cap(*buf) < n {
 		*buf = make([]uint64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growI32 resizes buf to n zeroed elements.
-func growI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	clear(*buf)
-	return *buf
-}
-
-// growArcs resizes buf to n arcs. Contents are unspecified; buildArcs
-// overwrites every slot.
-func growArcs(buf *[]arc, n int) []arc {
-	if cap(*buf) < n {
-		*buf = make([]arc, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -103,6 +56,16 @@ func growArcs(buf *[]arc, n int) []arc {
 // fingerprint exactly when they built the same Async Graph shape —
 // the equivalence the explore package uses to diff schedules.
 //
+// The hash is a Weisfeiler-Lehman refinement with sums as the multiset
+// function. Every node starts from a hash of its fields. Each of the
+// fingerprintRounds rounds sets a node's next label to mix(label) plus,
+// for each edge at the node, mix(tag ^ mix(neighbour label ^ direction
+// salt)), where tag hashes the edge's kind and label. Addition makes
+// the result independent of node and edge order without sorting. The
+// digest is the mixed sum of the final labels, printed as
+// FingerprintVersion + "-" + 16 hex digits. The cost is
+// O(rounds·(nodes+edges)) with one allocation, the returned string.
+//
 // Volatile decoration is deliberately excluded: display labels and
 // object ids (both depend on allocation order), registration/trigger
 // sequence numbers, execution counters (already represented by CE nodes
@@ -115,167 +78,103 @@ func (g *Graph) Fingerprint() string {
 	s := g.fp
 	n := len(g.Nodes)
 	labels := growU64(&s.labels, n)
+	next := growU64(&s.next, n)
 	for i, node := range g.Nodes {
-		labels[i] = nodeBaseLabel(g, node)
+		labels[i] = nodeLabel(g, node)
 	}
-
-	// Adjacency in CSR form: one flat arc slice per direction with a
-	// count-then-fill layout, instead of n append-grown slices.
 	tags := growU64(&s.tags, len(g.Edges))
 	for i, e := range g.Edges {
-		tags[i] = edgeTag(e)
+		tags[i] = hashString(hashWord(edgeSeed, uint64(e.Kind)), e.Label)
 	}
-	outArcs, outOff := buildArcs(g, n, tags, false, &s.outArcs, &s.outOff, &s.fill)
-	inArcs, inOff := buildArcs(g, n, tags, true, &s.inArcs, &s.inOff, &s.fill)
 
-	next := growU64(&s.next, n)
-	neigh := s.neigh[:0]
 	for round := 0; round < fingerprintRounds; round++ {
-		for i := 0; i < n; i++ {
-			h := fnvUint64(fnvOffset64, labels[i])
-			for dir, view := range [2]struct {
-				arcs []arc
-				off  []int32
-			}{{outArcs, outOff}, {inArcs, inOff}} {
-				neigh = neigh[:0]
-				for _, a := range view.arcs[view.off[i]:view.off[i+1]] {
-					neigh = append(neigh, a.tag^mix(labels[a.nbr]))
-				}
-				slices.Sort(neigh)
-				h = fnvUint64(h, uint64(dir)<<32|uint64(len(neigh)))
-				for _, v := range neigh {
-					h = fnvUint64(h, v)
-				}
+		for i, l := range labels {
+			next[i] = mix(l)
+		}
+		for i, e := range g.Edges {
+			// Edges with a dangling endpoint are skipped.
+			if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+				continue
 			}
-			next[i] = h
+			next[e.From] += mix(tags[i] ^ mix(labels[e.To]^outSalt))
+			next[e.To] += mix(tags[i] ^ mix(labels[e.From]^inSalt))
 		}
 		labels, next = next, labels
 	}
-	s.labels, s.next, s.neigh = labels, next, neigh
+	s.labels, s.next = labels, next
 
-	slices.Sort(labels)
-	stream := s.stream[:0]
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	stream = append(stream, buf[:]...)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(g.Edges)))
-	stream = append(stream, buf[:]...)
-	for _, v := range labels {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		stream = append(stream, buf[:]...)
+	sum := hashWord(hashWord(nodeSeed, uint64(n)), uint64(len(g.Edges)))
+	for _, l := range labels {
+		sum += mix(l)
 	}
-	s.stream = stream
-	sum := sha256.Sum256(stream)
-	var out [20]byte
-	copy(out[:], "ag1-")
-	hex.Encode(out[4:], sum[:8])
+	var digest [8]byte
+	binary.BigEndian.PutUint64(digest[:], mix(sum))
+	var out [len(FingerprintVersion) + 1 + 16]byte
+	copy(out[:], FingerprintVersion+"-")
+	hex.Encode(out[len(FingerprintVersion)+1:], digest[:])
 	return string(out[:])
 }
 
-// buildArcs lays the graph's edges out as a CSR adjacency view for one
-// direction: arcs for node i live at arcs[off[i]:off[i+1]]. Edges with
-// a dangling endpoint are skipped, matching the defensive check the
-// refinement historically performed.
-func buildArcs(g *Graph, n int, tags []uint64, inbound bool, arcBuf *[]arc, offBuf, fillBuf *[]int32) ([]arc, []int32) {
-	off := growI32(offBuf, n+1)
-	valid := func(e Edge) bool {
-		return e.From >= 0 && int(e.From) < n && e.To >= 0 && int(e.To) < n
-	}
-	anchor := func(e Edge) int {
-		if inbound {
-			return int(e.To)
-		}
-		return int(e.From)
-	}
-	other := func(e Edge) int32 {
-		if inbound {
-			return int32(e.From)
-		}
-		return int32(e.To)
-	}
-	for _, e := range g.Edges {
-		if valid(e) {
-			off[anchor(e)+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	arcs := growArcs(arcBuf, int(off[n]))
-	fill := growI32(fillBuf, n)
-	for i, e := range g.Edges {
-		if !valid(e) {
-			continue
-		}
-		a := anchor(e)
-		arcs[off[a]+fill[a]] = arc{tag: tags[i], nbr: other(e)}
-		fill[a]++
-	}
-	return arcs, off
-}
-
-// edgeTag hashes an edge's schedule-stable attributes, matching the
-// historical hashStrings("edge", kind, label) byte stream.
-func edgeTag(e Edge) uint64 {
-	h := fnvString(fnvOffset64, "edge")
-	h = fnvString(h, e.Kind.String())
-	return fnvString(h, e.Label)
-}
-
-// nodeBaseLabel hashes the schedule-stable attributes of one node. The
+// nodeLabel hashes the schedule-stable attributes of one node. The
 // containing tick's phase participates (a callback running in the timer
 // phase is different behaviour from the same callback in the I/O phase)
-// but the tick index does not.
-func nodeBaseLabel(g *Graph, n *Node) uint64 {
+// but the tick index does not; a node of an uncommitted tick hashes
+// with phase "".
+func nodeLabel(g *Graph, n *Node) uint64 {
 	phase := ""
 	if tk := g.TickOf(n.ID); tk != nil {
 		phase = tk.Phase
 	}
-	removed := "live"
+	removed := uint64(0)
 	if n.Removed {
-		removed = "removed"
+		removed = 1
 	}
-	h := fnvString(fnvOffset64, "node")
-	h = fnvString(h, n.Kind.String())
-	h = fnvString(h, n.API)
-	h = fnvString(h, n.Event)
-	h = fnvString(h, n.Func)
-	h = fnvLoc(h, n.Loc)
-	h = fnvString(h, phase)
-	return fnvString(h, removed)
+	h := hashWord(nodeSeed, uint64(n.Kind)<<1|removed)
+	h = hashString(h, n.API)
+	h = hashString(h, n.Event)
+	h = hashString(h, n.Func)
+	h = hashLoc(h, n.Loc)
+	return hashString(h, phase)
 }
 
-// fnvLoc folds a location's rendered form ("file:line" or "*") into the
-// state without materializing the string Loc.String would allocate.
-func fnvLoc(h uint64, l loc.Loc) uint64 {
+// hashLoc folds a location into the state. Every runtime-internal
+// location hashes alike, as they all render as "*".
+func hashLoc(h uint64, l loc.Loc) uint64 {
 	if l.IsInternal() {
-		return fnvString(h, "*")
+		return hashWord(h, ^uint64(0))
 	}
-	for i := 0; i < len(l.File); i++ {
-		h = fnvByte(h, l.File[i])
-	}
-	h = fnvByte(h, ':')
-	var digits [20]byte
-	i := len(digits)
-	v := l.Line
-	if v <= 0 {
-		i--
-		digits[i] = '0'
-	}
-	for v > 0 {
-		i--
-		digits[i] = byte('0' + v%10)
-		v /= 10
-	}
-	for ; i < len(digits); i++ {
-		h = fnvByte(h, digits[i])
-	}
-	return fnvByte(h, 0)
+	return hashWord(hashString(h, l.File), uint64(l.Line))
 }
 
-// mix finalizes a label before it joins a neighbour multiset, so that a
-// node label and an edge tag cannot cancel structurally (xor without
-// mixing would make a-tag-b and b-tag-a collide).
+// hashString folds a string into the state 8 bytes per step, followed
+// by its length, so that field boundaries cannot shift between strings.
+func hashString(h uint64, s string) uint64 {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		h = hashWord(h, uint64(s[i])|uint64(s[i+1])<<8|uint64(s[i+2])<<16|uint64(s[i+3])<<24|
+			uint64(s[i+4])<<32|uint64(s[i+5])<<40|uint64(s[i+6])<<48|uint64(s[i+7])<<56)
+	}
+	if i < len(s) {
+		var w uint64
+		for j := len(s) - 1; j >= i; j-- {
+			w = w<<8 | uint64(s[j])
+		}
+		h = hashWord(h, w)
+	}
+	return hashWord(h, uint64(len(s)))
+}
+
+// hashWord folds one 64-bit word into the state: one multiply and a
+// rotation per word. It is a fast absorber, not a finalizer; labels and
+// digests go through mix before they are compared.
+func hashWord(h, w uint64) uint64 {
+	return bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 31)
+}
+
+// mix is the murmur3 64-bit finalizer. It is applied to every term
+// before it enters a sum, so that a node label and an edge tag cannot
+// cancel structurally (xor without mixing would make a-tag-b and
+// b-tag-a collide) and sums of related labels stay unrelated.
 func mix(v uint64) uint64 {
 	v ^= v >> 33
 	v *= 0xff51afd7ed558ccd

@@ -2,6 +2,8 @@ package asyncgraph
 
 import (
 	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"asyncg/internal/loc"
@@ -113,3 +115,126 @@ func TestFingerprintStableAcrossJSONRoundtrip(t *testing.T) {
 		t.Errorf("JSON roundtrip changed the fingerprint: %s vs %s", g.Fingerprint(), back.Fingerprint())
 	}
 }
+
+func TestFingerprintSeparatesEdgeChanges(t *testing.T) {
+	base := fpGraph([]int{0, 1, 2}).Fingerprint()
+	mutations := []struct {
+		name string
+		edit func(g *Graph)
+	}{
+		{"reversed edge", func(g *Graph) { g.Edges[1].From, g.Edges[1].To = g.Edges[1].To, g.Edges[1].From }},
+		{"duplicated edge", func(g *Graph) { g.AddEdge(g.Edges[1].From, g.Edges[1].To, g.Edges[1].Kind, g.Edges[1].Label) }},
+		{"relabelled relation", func(g *Graph) { g.Edges[0].Label = "then" }},
+	}
+	for _, m := range mutations {
+		g := fpGraph([]int{0, 1, 2})
+		m.edit(g)
+		if fp := g.Fingerprint(); fp == base {
+			t.Errorf("%s left the fingerprint unchanged (%s)", m.name, fp)
+		}
+	}
+}
+
+func TestFingerprintUncommittedTick(t *testing.T) {
+	// A node whose tick is not yet committed (Tick == 0) hashes with the
+	// empty phase: the same as a committed tick whose phase is "".
+	open := fpGraph([]int{0, 1, 2})
+	open.Nodes[2].Tick = 0
+	first := open.Fingerprint()
+	if again := open.Fingerprint(); again != first {
+		t.Errorf("fingerprint of an uncommitted node is unstable: %s then %s", first, again)
+	}
+	if first == fpGraph([]int{0, 1, 2}).Fingerprint() {
+		t.Errorf("uncommitted node hashed with its would-be phase %q", "main")
+	}
+	blank := fpGraph([]int{0, 1, 2})
+	blank.Nodes[2].Tick = 2
+	blank.Ticks = append(blank.Ticks, &Tick{Index: 2, Phase: "", Nodes: []NodeID{2}})
+	if fp := blank.Fingerprint(); fp != first {
+		t.Errorf("uncommitted node %s != node in a phase-\"\" tick %s", first, fp)
+	}
+}
+
+func TestFingerprintAllocatesOnlyItsResult(t *testing.T) {
+	for _, g := range []*Graph{fpGraph([]int{0, 1, 2}), syntheticGraph(2000, 3500)} {
+		want := g.Fingerprint() // sizes the reusable scratch
+		allocs := testing.AllocsPerRun(20, func() {
+			if g.Fingerprint() != want {
+				t.Fatal("fingerprint changed between calls")
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%d-node graph: Fingerprint allocates %.1f times per call, want 1 (the string)", len(g.Nodes), allocs)
+		}
+	}
+}
+
+func TestFingerprintVersionPrefix(t *testing.T) {
+	fp := fpGraph([]int{0, 1, 2}).Fingerprint()
+	if !strings.HasPrefix(fp, FingerprintVersion+"-") || len(fp) != len(FingerprintVersion)+1+16 {
+		t.Errorf("fingerprint %q is not %s- plus 16 hex digits", fp, FingerprintVersion)
+	}
+}
+
+// syntheticGraph builds a deterministic pseudo-random graph shaped like
+// a builder's output: ticks of a few phases, nodes drawn from a small
+// vocabulary of APIs, events, callbacks and locations, and edges of
+// every kind, mostly between nearby nodes.
+func syntheticGraph(nodes, edges int) *Graph {
+	rng := rand.New(rand.NewSource(1))
+	apis := []string{"setTimeout", "emitter.on", "emitter.emit", "promise.then", "process.nextTick", "new Promise", "net.connect"}
+	events := []string{"", "data", "end", "close", "then", "catch"}
+	funcs := []string{"", "onData", "onEnd", "handler", "resolve", "reject", "next"}
+	phases := []string{"main", "nextTick", "promise", "timer", "io", "check"}
+	labels := []string{"then", "link", "connection", "resolve"}
+	g := NewGraph()
+	var tick *Tick
+	for i := 0; i < nodes; i++ {
+		if tick == nil || rng.Intn(8) == 0 {
+			tick = g.blankTick(phases[rng.Intn(len(phases))])
+			tick.Index = len(g.Ticks) + 1
+			g.Ticks = append(g.Ticks, tick)
+		}
+		n := g.blankNode()
+		n.Kind = NodeKind(rng.Intn(4))
+		n.API = apis[rng.Intn(len(apis))]
+		n.Event = events[rng.Intn(len(events))]
+		n.Func = funcs[rng.Intn(len(funcs))]
+		n.Loc = loc.Loc{File: "server.go", Line: 10 + rng.Intn(200)}
+		n.Removed = rng.Intn(50) == 0
+		n.Tick = tick.Index
+		g.addNode(n)
+		tick.Nodes = append(tick.Nodes, n.ID)
+	}
+	for i := 0; i < edges; i++ {
+		from := rng.Intn(nodes)
+		to := from + 1 + rng.Intn(16)
+		if to >= nodes {
+			to = rng.Intn(nodes)
+		}
+		kind := EdgeKind(rng.Intn(3))
+		label := ""
+		if kind == EdgeRelation {
+			label = labels[rng.Intn(len(labels))]
+		}
+		g.AddEdge(NodeID(from), NodeID(to), kind, label)
+	}
+	return g
+}
+
+// BenchmarkFingerprint hashes a graph the size of the Fig. 6a
+// instrumented run's (about 27k nodes and 48k edges), reusing the
+// graph's scratch across iterations as the explore engine does.
+func BenchmarkFingerprint(b *testing.B) {
+	g := syntheticGraph(30000, 50000)
+	g.Fingerprint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = g.Fingerprint()
+	}
+}
+
+// fingerprintSink keeps BenchmarkFingerprint's calls from being
+// optimized away.
+var fingerprintSink string

@@ -2,6 +2,7 @@ package asyncgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"asyncg/internal/loc"
 	"asyncg/internal/vm"
@@ -300,7 +301,7 @@ func (g *Graph) ObjNode(objID uint64) NodeID {
 // addNode appends a node and returns it.
 func (g *Graph) addNode(n *Node) *Node {
 	n.ID = NodeID(len(g.Nodes))
-	g.Nodes = append(g.Nodes, n)
+	g.Nodes = append(doubleIfFull(g.Nodes), n)
 	if n.Kind == OB && !n.Obj.IsZero() {
 		g.objNodes[n.Obj.ID] = n.ID
 	}
@@ -312,7 +313,18 @@ func (g *Graph) AddEdge(from, to NodeID, kind EdgeKind, label string) {
 	if from == NoNode || to == NoNode {
 		return
 	}
-	g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: kind, Label: label})
+	g.Edges = append(doubleIfFull(g.Edges), Edge{From: from, To: to, Kind: kind, Label: label})
+}
+
+// doubleIfFull returns s with room for one more element, doubling the
+// capacity when s is full. append alone grows large slices by about
+// 1.25×, which makes a graph of tens of thousands of nodes copy its
+// arrays several times over while it grows.
+func doubleIfFull[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, len(s))
 }
 
 // AddWarning attaches a detector finding to a node (NoNode allowed for

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"asyncg/internal/asyncgraph"
 	"asyncg/internal/explore"
 	"asyncg/internal/trace"
 )
@@ -207,6 +208,12 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 		case explore.KindRun:
 			if line.Index != len(out.Runs) {
 				return nil, fmt.Errorf("fleet: %s: run index %d out of order (want %d)", c.base, line.Index, len(out.Runs))
+			}
+			if fp := line.Fingerprint; fp != "" && !strings.HasPrefix(fp, asyncgraph.FingerprintVersion+"-") {
+				// A worker on another build hashes graphs differently;
+				// retrying it, or another worker like it, cannot help.
+				return nil, &permanentError{err: fmt.Errorf("fleet: %s: run %d has fingerprint %q, want version %s (the worker runs a different build)",
+					c.base, line.Index, fp, asyncgraph.FingerprintVersion)}
 			}
 			out.Runs = append(out.Runs, line.RunResult)
 		case explore.KindSummary:

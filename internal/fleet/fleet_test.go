@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -343,6 +344,63 @@ func TestFleetJournalSafety(t *testing.T) {
 	other.Seed = 99
 	if _, _, err := Run(context.Background(), Config{Plan: other, Workers: workers, Dir: dir, Resume: true}); err == nil {
 		t.Error("resume with a different plan succeeded, want refusal")
+	}
+}
+
+// TestFleetRefusesOldJournalVersion: a journal whose plan.json predates
+// the current fingerprint version cannot be resumed, since its shards
+// hold fingerprints the resumed runs would never reproduce.
+func TestFleetRefusesOldJournalVersion(t *testing.T) {
+	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4, ShardRuns: 2}
+	dir := t.TempDir()
+	old := fmt.Sprintf(`{"version":1,"plan":%s}`, mustJSON(p.withDefaults()))
+	if err := os.WriteFile(filepath.Join(dir, "plan.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("journal version 1, this coordinator speaks %d", planFileVersion)
+	if _, err := LoadPlan(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadPlan of a version-1 journal: %v, want an error containing %q", err, want)
+	}
+	_, _, err := Run(context.Background(), Config{Plan: p, Workers: startWorkers(t, 1), Dir: dir, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume of a version-1 journal: %v, want an error containing %q", err, want)
+	}
+}
+
+// TestFleetRejectsForeignFingerprints: a worker whose runs carry another
+// fingerprint version (an older build) fails its shard permanently,
+// without retries, instead of splitting the merged census.
+func TestFleetRejectsForeignFingerprints(t *testing.T) {
+	var submits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			fmt.Fprint(w, `{"status":"ok"}`)
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			submits.Add(1)
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"id":"job-1","status":"queued"}`)
+		case strings.HasSuffix(r.URL.Path, "/stream"):
+			fmt.Fprintf(w, `{"kind":%q,"index":0,"token":"s1.","fingerprint":"ag1-9580bf92268ab579","ticks":2}`+"\n", explore.KindRun)
+			fmt.Fprintf(w, `{"kind":%q,"runs":1}`+"\n", explore.KindSummary)
+		}
+	}))
+	defer ts.Close()
+
+	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 1, ShardRuns: 1}
+	_, _, err := Run(context.Background(), Config{
+		Plan:        p,
+		Workers:     []string{ts.URL},
+		Dir:         t.TempDir(),
+		BackoffBase: time.Millisecond,
+		BackoffCap:  5 * time.Millisecond,
+		MaxAttempts: 4,
+	})
+	if err == nil || !strings.Contains(err.Error(), "different build") {
+		t.Fatalf("run against an ag1 worker: %v, want a fingerprint-version error", err)
+	}
+	if n := submits.Load(); n != 1 {
+		t.Errorf("shard submitted %d times, want 1 (a version mismatch is permanent)", n)
 	}
 }
 

@@ -41,8 +41,10 @@ const (
 )
 
 // planFileVersion guards against resuming a journal written by an
-// incompatible coordinator.
-const planFileVersion = 1
+// incompatible coordinator. Version 2 journals hold fingerprints of
+// asyncgraph.FingerprintVersion "ag2"; a version-1 journal's "ag1"
+// fingerprints would never match the runs a resume adds.
+const planFileVersion = 2
 
 type planFile struct {
 	Version int  `json:"version"`
