@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore bench-record bench-gate serve-smoke race-server fleet-smoke race-fleet docs-check
+.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore bench-record bench-gate serve-smoke race-server fleet-smoke race-fleet fuzz-smoke docs-check
 
 # Tier-1 verify: build, vet, formatting, tests.
 verify: build vet fmt-check test
@@ -56,6 +56,13 @@ fleet-smoke:
 # resume-after-cancel, and dead-worker reassignment.
 race-fleet:
 	$(GO) test -race -count=1 ./internal/fleet/...
+
+# Short fuzzing of the shard entry points: shard specs arrive over HTTP
+# (serve's jobSpec.shard) and run lines from fleet workers. The seed
+# corpora under internal/explore/testdata/fuzz also run in `make test`.
+fuzz-smoke:
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardStrategy$$' -fuzztime=10s
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzFeedbackOf$$' -fuzztime=10s
 
 # Analysis-service behavior under the race detector: the 200-submission
 # overflow load test (queue capacity 8 → 429 + Retry-After), per-job

@@ -19,7 +19,7 @@ import (
 func spinTarget() Target {
 	return Target{
 		Name: "spin (endless immediates)",
-		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
+		NewRunner: oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) {
 			opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 1 << 40})}, extra...)
 			s := asyncg.New(opts...)
 			return s.Run(func(ctx *asyncg.Context) {
@@ -30,7 +30,7 @@ func spinTarget() Target {
 				})
 				ctx.SetImmediate(spin)
 			})
-		},
+		}),
 	}
 }
 

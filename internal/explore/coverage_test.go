@@ -18,7 +18,7 @@ func TestMutatedScheduleRoundTrip(t *testing.T) {
 	tg := caseTarget(t, "SO-17894000")
 	for seed := int64(0); seed < 25; seed++ {
 		// A random run donates its recorded picks as the corpus seed.
-		base, _, _ := runOnce(context.Background(), tg.runFresh, 0,
+		base, _, _ := runOnce(context.Background(), tg.NewRunner().Run, 0,
 			newChooser(AllKinds(), randomNext(rand.New(rand.NewSource(seed)))), nil, &config{}, newIntern())
 		sched, err := ParseToken(base.Token)
 		if err != nil {
@@ -29,7 +29,7 @@ func TestMutatedScheduleRoundTrip(t *testing.T) {
 		// every pick, hence on the token and the resulting graph.
 		mut := func() (RunResult, []int) {
 			ch := newChooser(AllKinds(), mutateNext(rand.New(rand.NewSource(seed+1000)), sched.Picks))
-			rr, _, _ := runOnce(context.Background(), tg.runFresh, 0, ch, nil, &config{}, newIntern())
+			rr, _, _ := runOnce(context.Background(), tg.NewRunner().Run, 0, ch, nil, &config{}, newIntern())
 			return rr, ch.picks
 		}
 		rr1, picks1 := mut()

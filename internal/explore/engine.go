@@ -21,84 +21,48 @@ import (
 
 // Target is a program the engine can run repeatedly. Every run starts
 // from a cold runtime (schedules only compose with a cold start), but
-// "cold" no longer has to mean "freshly allocated": a target that
-// provides NewRunner hands each pool worker a reusable runtime that is
-// Reset between runs, amortizing the session's allocation set across
-// the whole exploration. The Run field remains the one-shot fallback —
-// a fresh runtime per call — and the two are observationally identical:
-// a Reset runner replays the same announcements, object ids, and
-// registration sequences a fresh session would, so Results are
-// byte-identical whichever path executes a schedule.
+// "cold" does not have to mean "freshly allocated": each pool worker
+// owns one Runner from NewRunner and Resets it between runs, amortizing
+// the session's allocation set across the whole exploration. A Reset
+// runner replays the same announcements, object ids, and registration
+// sequences a fresh one would, so Results are byte-identical whether a
+// schedule runs on a new runner or a reused one. Replays and chain
+// attachment run outside the pool, each on a runner of its own.
 type Target struct {
 	// Name labels the target in reports.
 	Name string
 	// Expect lists detector categories of interest (a case study's
 	// Expect set); they are classified even when never observed.
 	Expect []detect.Category
-	// Run executes the program once on a fresh runtime and returns its
-	// report, threading extra through to asyncg.New so the engine can
-	// install its scheduler. A limit error (ErrTickLimit for starvation
-	// bugs) is expected and recorded, not fatal. Optional when NewRunner
-	// is set; required otherwise.
-	Run func(extra ...asyncg.Option) (*asyncg.Report, error)
-	// NewRunner, when set, creates a reusable runner. The engine gives
-	// each pool worker its own runner (runners need not be safe for
-	// concurrent use) and calls Reset between Runs.
+	// NewRunner creates a runner. The engine gives each pool worker its
+	// own (runners need not be safe for concurrent use) and calls Reset
+	// between Runs.
 	NewRunner func() Runner
 }
 
 // Runner executes a target repeatedly on a reusable runtime. Run
 // requires a cold runner — freshly created or Reset since the previous
 // Run — and threads per-run options (the engine's scheduler, context,
-// metrics) into the underlying session; Reset rewinds the runtime while
-// retaining its allocations. See asyncg.Session.Reset for the identity
-// contract reusable runners rely on.
+// metrics) into the underlying session, returning the run's report. A
+// limit error (ErrTickLimit for starvation bugs) is expected and
+// recorded, not fatal. Reset rewinds the runtime while retaining its
+// allocations. See asyncg.Session.Reset for the identity contract
+// reusable runners rely on.
 type Runner interface {
 	Run(extra ...asyncg.Option) (*asyncg.Report, error)
 	Reset()
 }
 
-// funcRunner adapts the fresh-runtime Run fallback to the Runner shape:
-// every Run builds a new runtime, so Reset has nothing to do.
-type funcRunner struct {
-	run func(extra ...asyncg.Option) (*asyncg.Report, error)
-}
-
-func (f funcRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) { return f.run(extra...) }
-func (funcRunner) Reset()                                               {}
-
-// runner creates the reusable runner a pool worker owns.
-func (t Target) runner() Runner {
-	if t.NewRunner != nil {
-		return t.NewRunner()
-	}
-	return funcRunner{run: t.Run}
-}
-
-// runFresh executes the target once on a cold runtime — the replay and
-// chain-attachment path, which runs outside the worker pool.
-func (t Target) runFresh(extra ...asyncg.Option) (*asyncg.Report, error) {
-	if t.Run != nil {
-		return t.Run(extra...)
-	}
-	return t.NewRunner().Run(extra...)
-}
-
-// CaseTarget wraps a casestudy case (its buggy or fixed version). Both
-// the one-shot fallback and the reusable runner go through
-// casestudy.NewRunner, so every schedule executes the same code path
-// whichever the coordinator picks.
+// CaseTarget wraps a casestudy case (its buggy or fixed version); its
+// runners are casestudy.NewRunner's.
 func CaseTarget(c casestudy.Case, fixed bool) Target {
 	name := c.ID + " (buggy)"
 	if fixed {
 		name = c.ID + " (fixed)"
 	}
 	return Target{
-		Name:   name,
-		Expect: c.Expect,
-		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
-			return casestudy.NewRunner(c, fixed).Run(extra...)
-		},
+		Name:      name,
+		Expect:    c.Expect,
 		NewRunner: func() Runner { return casestudy.NewRunner(c, fixed) },
 	}
 }
@@ -118,20 +82,15 @@ func CaseTargetByID(id string, fixed bool) (Target, error) {
 // AcmeAirTarget wraps the AcmeAir benchmark server under its workload
 // driver (the Fig. 6 setup, scaled down): requests total requests from
 // clients concurrent clients, with the driver's operation mix drawn from
-// seed. Both the one-shot fallback and the reusable runner execute
-// through acmeAirRunner, so every schedule runs the same code path (and
-// the same source locations — graph labels and fingerprints depend on
-// them) whichever the coordinator picks.
+// seed. Every schedule runs through acmeAirRunner, so graph labels and
+// fingerprints, which carry its source locations, are the same for a
+// pool worker's reused runner and a replay's fresh one.
 func AcmeAirTarget(requests, clients int, seed int64) Target {
-	newRunner := func() Runner {
-		return &acmeAirRunner{requests: requests, clients: clients, seed: seed}
-	}
 	return Target{
 		Name: fmt.Sprintf("acmeair[requests=%d,clients=%d,seed=%d]", requests, clients, seed),
-		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
-			return newRunner().Run(extra...)
+		NewRunner: func() Runner {
+			return &acmeAirRunner{requests: requests, clients: clients, seed: seed}
 		},
-		NewRunner: newRunner,
 	}
 }
 
@@ -532,11 +491,11 @@ func workerExtras(ctx context.Context, proxy *schedProxy, cfg *config) []asyncg.
 	return extra
 }
 
-// runOnce executes the target under one scheduler — on run, a pool
-// worker's reusable runner or the fresh-runtime fallback — and
-// summarizes it. Everything the result needs (token, fingerprint,
-// warning keys) is copied out of the report before returning, so the
-// caller may Reset the runner immediately afterwards. extras is the
+// runOnce executes the target under one scheduler — on run, usually a
+// pool worker's reusable runner — and summarizes it. Everything the
+// result needs (token, fingerprint, warning keys) is copied out of the
+// report before returning, so the caller may Reset the runner
+// immediately afterwards. extras is the
 // worker's prebuilt option slice, whose scheduler proxy must already
 // point at ch; a nil extras builds a one-shot slice (the tests' cold
 // path). The run's own ticks honor ctx through asyncg.WithContext; a
@@ -594,7 +553,7 @@ func Replay(t Target, token string, extra ...asyncg.Option) (RunResult, *asyncg.
 	}
 	ch := newChooser(AllKinds(), playbackNext(sched.Picks))
 	opts := append([]asyncg.Option{asyncg.WithScheduler(ch)}, extra...)
-	report, rerr := t.runFresh(opts...)
+	report, rerr := t.NewRunner().Run(opts...)
 	rr := RunResult{Token: token}
 	if rerr != nil {
 		rr.Err = rerr.Error()

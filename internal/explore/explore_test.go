@@ -10,9 +10,21 @@ import (
 	"strings"
 	"testing"
 
+	"asyncg"
 	"asyncg/internal/detect"
 	"asyncg/internal/eventloop"
 )
+
+// oneShot adapts a run function that builds a fresh runtime per call to
+// Target.NewRunner: its runners have nothing to Reset.
+func oneShot(run func(extra ...asyncg.Option) (*asyncg.Report, error)) func() Runner {
+	return func() Runner { return runOnly(run) }
+}
+
+type runOnly func(extra ...asyncg.Option) (*asyncg.Report, error)
+
+func (f runOnly) Run(extra ...asyncg.Option) (*asyncg.Report, error) { return f(extra...) }
+func (runOnly) Reset()                                               {}
 
 func caseTarget(t *testing.T, id string) Target {
 	t.Helper()
@@ -74,7 +86,7 @@ func TestReplayDeterminism(t *testing.T) {
 		tg := caseTarget(t, id)
 		for seed := int64(0); seed < 50; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			orig, _, _ := runOnce(context.Background(), tg.runFresh, 0, newChooser(AllKinds(), randomNext(rng)), nil, &config{}, newIntern())
+			orig, _, _ := runOnce(context.Background(), tg.NewRunner().Run, 0, newChooser(AllKinds(), randomNext(rng)), nil, &config{}, newIntern())
 			rep, _, err := Replay(tg, orig.Token)
 			if err != nil {
 				t.Fatalf("%s seed %d: replay: %v", id, seed, err)
@@ -176,7 +188,7 @@ func TestDelayBound(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ch := newChooser(DefaultKinds(), delayNext(rng, bound))
-		runOnce(context.Background(), tg.runFresh, 0, ch, nil, &config{}, newIntern())
+		runOnce(context.Background(), tg.NewRunner().Run, 0, ch, nil, &config{}, newIntern())
 		nonzero := 0
 		for _, p := range ch.picks {
 			if p != 0 {
@@ -195,7 +207,7 @@ func TestDelayBound(t *testing.T) {
 func TestDefaultScheduleMatchesNoScheduler(t *testing.T) {
 	for _, id := range []string{"SO-17894000", "GH-npm-12754", "fig4"} {
 		tg := caseTarget(t, id)
-		base, err := tg.Run()
+		base, err := tg.NewRunner().Run()
 		if err != nil && err != eventloop.ErrTickLimit {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -16,16 +16,15 @@ import (
 // worker, and reassembling results in run-index order so the aggregate
 // Result is byte-identical to a sequential exploration.
 //
-// Workers are persistent: each pool goroutine owns one Runner for the
-// whole exploration (Target.NewRunner when the target provides it, the
-// fresh-runtime fallback otherwise) and Resets it between jobs, so the
-// session's allocation set — event loop queues, graph nodes, detector
-// state, emitter and promise pools — is paid for once per worker, not
-// once per schedule. The Reset contract (asyncg.Session.Reset) makes a
+// Workers are persistent: each pool goroutine owns one Runner (from
+// Target.NewRunner) for the whole exploration and Resets it between
+// jobs, so the session's allocation set — event loop queues, graph
+// nodes, detector state, emitter and promise pools — is paid for once
+// per worker, not once per schedule. The Reset contract (asyncg.Session.Reset) makes a
 // reused runtime observationally identical to a fresh one, which is
 // what keeps the worker-count and runner-reuse invariants equivalent:
-// the Result is byte-identical at any worker count, with or without
-// reusable runners.
+// the Result is byte-identical at any worker count, whether a runner
+// serves one schedule or thousands.
 //
 // The feedback loop is the part that must not race: strategies plan
 // from what they have observed (the exhaustive frontier grows out of
@@ -94,7 +93,7 @@ func runCoordinator(ctx context.Context, t Target, cfg config, res *Result) erro
 	defer close(jobs)
 	for w := 0; w < cfg.Workers; w++ {
 		go func() {
-			runner := t.runner()
+			runner := t.NewRunner()
 			in := newIntern()
 			proxy := &schedProxy{}
 			extras := workerExtras(ctx, proxy, &cfg)
@@ -104,7 +103,7 @@ func runCoordinator(ctx context.Context, t Target, cfg config, res *Result) erro
 				rr, snap, err := runOnce(ctx, runner.Run, j.idx, j.ch, extras, &cfg, in)
 				if err != nil {
 					// The runtime is mid-panic state; start over.
-					runner = t.runner()
+					runner = t.NewRunner()
 				}
 				done <- doneRun{idx: j.idx, rr: rr, snap: snap, ch: j.ch, err: err}
 			}
@@ -188,18 +187,7 @@ func runCoordinator(ctx context.Context, t Target, cfg config, res *Result) erro
 				rr.Domains = append([]int(nil), nd.ch.domains...)
 				rr.Independent = append([]bool(nil), nd.ch.indep...)
 			}
-			cfg.Strategy.Observe(Feedback{
-				Index:       rr.Index,
-				Token:       rr.Token,
-				Picks:       nd.ch.picks,
-				Domains:     nd.ch.domains,
-				Independent: nd.ch.indep,
-				Fingerprint: rr.Fingerprint,
-				NewGraph:    rr.NewGraph,
-				Warnings:    rr.Warnings,
-				Err:         rr.Err,
-				Ticks:       rr.Ticks,
-			})
+			cfg.Strategy.Observe(newFeedback(rr, nd.ch.picks, nd.ch.domains, nd.ch.indep))
 			putChooser(nd.ch)
 			if cr, ok := cfg.Strategy.(CoverageReporter); ok {
 				stats := cr.CoverageStats()

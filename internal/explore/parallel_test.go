@@ -77,9 +77,9 @@ func TestParallelDeterminism(t *testing.T) {
 func TestPanicBecomesError(t *testing.T) {
 	boom := Target{
 		Name: "boom",
-		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
+		NewRunner: oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) {
 			panic("deliberate test panic")
-		},
+		}),
 	}
 	for _, tc := range []struct {
 		name string
@@ -119,12 +119,12 @@ func TestPanicMidExploration(t *testing.T) {
 	var calls atomic.Int64
 	flaky := Target{
 		Name: good.Name,
-		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
+		NewRunner: oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) {
 			if calls.Add(1) > 2 {
 				panic("deliberate test panic")
 			}
-			return good.Run(extra...)
-		},
+			return good.NewRunner().Run(extra...)
+		}),
 	}
 	res, err := Run(context.Background(), flaky, WithRuns(8), WithWorkers(1))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {

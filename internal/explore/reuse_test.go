@@ -15,17 +15,16 @@ import (
 // half: a pool worker that keeps one runner alive and interleaves
 // Reset+Run across many schedules must produce byte-identical Results
 // to fresh-session-per-run execution, at every worker count. The two
-// variants are forced by stripping the Target down to one path each —
-// Run-only falls back to funcRunner (cold runtime every schedule),
-// NewRunner-only reuses pooled loop/graph/detector state. Run under
+// variants are forced by giving the Target one kind of runner each —
+// fresh builds a new runner for every schedule (cold runtime every
+// time), reused keeps pooled loop/graph/detector state. Run under
 // -race this also exercises the handoff of pooled choosers and RNGs
 // between the coordinator and worker goroutines.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
 	tg := caseTarget(t, "SO-17894000")
 	fresh := tg
-	fresh.NewRunner = nil // one-shot fallback only
+	fresh.NewRunner = oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) { return tg.NewRunner().Run(extra...) })
 	reused := tg
-	reused.Run = nil // pooled runner only
 
 	// Options are rebuilt per exploration: strategies like coverage are
 	// stateful objects, and sharing one instance across explorations
@@ -71,7 +70,6 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 func TestRunnerReuseFleetMerge(t *testing.T) {
 	tg := caseTarget(t, "SO-17894000")
 	reused := tg
-	reused.Run = nil
 
 	const total, seed = 16, 3
 	full := mustRun(t, tg, WithSeed(seed), WithRuns(total))
@@ -124,9 +122,8 @@ func TestAcmeAirRunnerReuseMatchesFresh(t *testing.T) {
 	for _, driver := range []int64{1, 2} {
 		tg := AcmeAirTarget(20, 3, driver)
 		fresh := tg
-		fresh.NewRunner = nil
+		fresh.NewRunner = oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) { return tg.NewRunner().Run(extra...) })
 		reused := tg
-		reused.Run = nil
 		for _, ks := range kindSets {
 			t.Run(fmt.Sprintf("driver%d-%s", driver, ks.name), func(t *testing.T) {
 				opts := func(workers int) []Option {
@@ -179,7 +176,7 @@ func (r *trafficRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
 func TestAcmeAirRunnerFixtureIntegrity(t *testing.T) {
 	tg := AcmeAirTarget(60, 3, 1)
 	tr := &trafficRunner{acmeAirRunner: tg.NewRunner().(*acmeAirRunner)}
-	shared := Target{Name: tg.Name, Run: tg.Run, NewRunner: func() Runner { return tr }}
+	shared := Target{Name: tg.Name, NewRunner: func() Runner { return tr }}
 	mustRun(t, shared, WithSeed(3), WithRuns(12), WithKinds(eventloop.ChoiceDataOrder), WithWorkers(1))
 	if tr.runs < 10 || tr.bookings == 0 || tr.updates == 0 {
 		t.Fatalf("traffic too thin to test the fixture: %d runs, %d bookings, %d profile updates", tr.runs, tr.bookings, tr.updates)

@@ -2,25 +2,19 @@ package explore
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 )
 
 // This file is the sharding surface of the exploration engine: the
 // exported description of one deterministic slice of a strategy's
-// schedule space (ShardSpec), the Strategy that executes exactly that
-// slice (ShardStrategy), and the merge primitive (Finalize) that
-// rebuilds a Result's aggregate sections after shard results have been
-// stitched back into global run order. Together they let a fleet
-// coordinator fan one exploration across many asyncg serve workers and
-// still produce output byte-identical to a single-process Run at the
-// same budget.
-
-// CoverageGenerationSize is the coverage strategy's planning quantum:
-// runs are planned in generations of this many, and generation g sees
-// exactly the corpus accumulated from generations < g. A coverage
-// ShardSpec must stay inside one generation — the corpus snapshot it
-// carries is only constant within the generation.
-const CoverageGenerationSize = coverageGeneration
+// schedule space (ShardSpec, cut by a built-in strategy's Shard), the
+// Strategy that executes exactly that slice (ShardStrategy), the
+// decoding of a remote run back into strategy feedback (FeedbackOf),
+// and the merge primitive (Finalize) that rebuilds a Result's aggregate
+// sections after shard results have been stitched back into global run
+// order. Together they let a fleet coordinator fan one exploration
+// across many asyncg serve workers and still produce output
+// byte-identical to a single-process Run at the same budget.
 
 // ShardSpec describes one deterministic slice of an exploration: the
 // shard's runs are the global run indices [Start, Start+Runs), planned
@@ -62,8 +56,8 @@ func (s ShardSpec) Validate() error {
 	if s.Runs <= 0 {
 		return fmt.Errorf("explore: shard needs a positive run count, got %d", s.Runs)
 	}
-	if s.Start < 0 {
-		return fmt.Errorf("explore: negative shard start %d", s.Start)
+	if s.Start < 0 || s.Start > math.MaxInt-s.Runs {
+		return fmt.Errorf("explore: shard start %d out of range", s.Start)
 	}
 	switch s.Strategy {
 	case StrategyRandom, StrategyDelay:
@@ -93,71 +87,109 @@ func (s ShardSpec) Validate() error {
 
 // ShardStrategy builds the Strategy that executes exactly the spec's
 // slice of the global exploration: local run j is planned as global run
-// Start+j would be under the full strategy. The result is feedback-free
-// by construction — all cross-run feedback (coverage corpus growth,
+// Start+j would be under the full strategy, by that same strategy —
+// random and delay from the base seed, coverage against the spec's
+// frozen corpus, exhaustive from the spec's prefixes. The result is
+// feedback-free: all cross-run feedback (coverage corpus growth,
 // exhaustive frontier expansion, NewGraph flags) belongs to the
-// coordinator that issued the shard — so a shard's runs are identical
-// at any worker count and any shard decomposition.
+// coordinator that issued the shard, so a shard's runs are identical at
+// any worker count and any shard decomposition.
 func ShardStrategy(spec ShardSpec) (Strategy, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	s := &shardStrategy{spec: spec}
-	for _, tok := range spec.Corpus {
-		sched, err := ParseToken(tok)
+	w := &shardWindow{start: spec.Start, runs: spec.Runs}
+	switch spec.Strategy {
+	case StrategyRandom:
+		w.Strategy = NewRandom(spec.Seed)
+	case StrategyDelay:
+		w.Strategy = NewDelay(spec.Seed, spec.DelayBound)
+	case StrategyCoverage:
+		corpus, err := parseTokens("corpus", spec.Corpus)
 		if err != nil {
-			return nil, fmt.Errorf("explore: shard corpus: %v", err)
+			return nil, err
 		}
-		s.corpus = append(s.corpus, sched.Picks)
-	}
-	for _, tok := range spec.Prefixes {
-		sched, err := ParseToken(tok)
+		cs := &coverageStrategy{seed: spec.Seed, frozen: true}
+		for _, picks := range corpus {
+			cs.entries = append(cs.entries, corpusEntry{picks: picks})
+		}
+		w.Strategy = cs
+	default: // StrategyExhaustive; the queue holds just the shard's runs
+		queue, err := parseTokens("prefix", spec.Prefixes)
 		if err != nil {
-			return nil, fmt.Errorf("explore: shard prefix: %v", err)
+			return nil, err
 		}
-		s.prefixes = append(s.prefixes, sched.Picks)
+		w.Strategy = &exhaustiveStrategy{frozen: true, queue: queue}
+		w.start = 0
 	}
-	return s, nil
+	return w, nil
 }
 
-// shardStrategy plans one ShardSpec's runs (see ShardStrategy).
-type shardStrategy struct {
-	spec     ShardSpec
-	corpus   [][]int // coverage: parsed corpus schedules, discovery order
-	prefixes [][]int // exhaustive: parsed forced prefixes, one per run
+// shardWindow plans local run j as run start+j of the strategy it
+// wraps, and ends after runs runs. Observe is passed on, re-indexed, so
+// the random strategy recycles its generators; the other strategies a
+// shard wraps are frozen or ignore feedback.
+type shardWindow struct {
+	Strategy
+	start, runs int
 }
 
-func (s *shardStrategy) Name() string { return s.spec.Strategy }
-
-func (s *shardStrategy) Plan(j int) (PickFunc, PlanState) {
-	if j >= s.spec.Runs {
+func (w *shardWindow) Plan(j int) (PickFunc, PlanState) {
+	if j >= w.runs {
 		return nil, PlanDone
 	}
-	global := int64(s.spec.Start + j)
-	switch s.spec.Strategy {
-	case StrategyRandom:
-		return randomNext(rand.New(rand.NewSource(s.spec.Seed + global))), PlanReady
-	case StrategyDelay:
-		bound := s.spec.DelayBound
-		if bound <= 0 {
-			bound = 2
-		}
-		return delayNext(rand.New(rand.NewSource(s.spec.Seed+global)), bound), PlanReady
-	case StrategyCoverage:
-		// Mirrors coverageStrategy.Plan exactly, with the generation's
-		// corpus snapshot frozen into the spec: same rng derivation, same
-		// exploration/exploitation draw, same energy weighting.
-		rng := rand.New(rand.NewSource(s.spec.Seed + global))
-		if len(s.corpus) == 0 || rng.Intn(4) == 0 {
-			return randomNext(rng), PlanReady
-		}
-		return mutateNext(rng, s.corpus[pickWeighted(rng, len(s.corpus))]), PlanReady
-	default: // StrategyExhaustive — Validate guarantees the prefix exists.
-		return playbackNext(s.prefixes[j]), PlanReady
-	}
+	return w.Strategy.Plan(w.start + j)
 }
 
-func (s *shardStrategy) Observe(Feedback) {}
+func (w *shardWindow) Observe(fb Feedback) {
+	fb.Index += w.start
+	w.Strategy.Observe(fb)
+}
+
+// parseTokens decodes a spec's replay-token list.
+func parseTokens(what string, toks []string) ([][]int, error) {
+	out := make([][]int, len(toks))
+	for k, tok := range toks {
+		sched, err := ParseToken(tok)
+		if err != nil {
+			return nil, fmt.Errorf("explore: shard %s: %v", what, err)
+		}
+		out[k] = sched.Picks
+	}
+	return out, nil
+}
+
+// FeedbackOf decodes a run that executed elsewhere — a shard worker's
+// run line — into the Feedback its strategy observes: Picks is the
+// replay token's pick sequence, padded with default picks to the length
+// of the recorded Domains. It rejects a run whose token does not parse,
+// whose Independent flags do not match its Domains, or, when Domains
+// were recorded, whose picks run past them or exceed a domain.
+func FeedbackOf(rr RunResult) (Feedback, error) {
+	sched, err := ParseToken(rr.Token)
+	if err != nil {
+		return Feedback{}, err
+	}
+	if len(rr.Independent) != len(rr.Domains) {
+		return Feedback{}, fmt.Errorf("explore: run %d records %d independence flags for %d domains",
+			rr.Index, len(rr.Independent), len(rr.Domains))
+	}
+	picks := sched.Picks
+	if len(rr.Domains) > 0 {
+		if len(picks) > len(rr.Domains) {
+			return Feedback{}, fmt.Errorf("explore: run %d has %d picks for %d domains", rr.Index, len(picks), len(rr.Domains))
+		}
+		for pos, p := range picks {
+			if p >= rr.Domains[pos] {
+				return Feedback{}, fmt.Errorf("explore: run %d picks %d at position %d, outside its domain of %d",
+					rr.Index, p, pos, rr.Domains[pos])
+			}
+		}
+		picks = make([]int, len(rr.Domains))
+		copy(picks, sched.Picks)
+	}
+	return newFeedback(rr, picks, rr.Domains, rr.Independent), nil
+}
 
 // Finalize re-derives a Result's aggregate sections — the fingerprint
 // census, the warning and category classification, and NewGraphs — from

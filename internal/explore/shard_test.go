@@ -109,22 +109,22 @@ func TestShardStrategyCoverage(t *testing.T) {
 	tg := caseTarget(t, "SO-17894000")
 	const total = 40
 	full := mustRun(t, tg, WithStrategy(NewCoverage(11)), WithRuns(total))
-	for _, width := range []int{3, CoverageGenerationSize} {
+	for _, width := range []int{3, coverageGeneration} {
 		// Windows are cut inside each generation — a shard must never
 		// straddle the corpus-snapshot boundary.
-		for gen := 0; gen*CoverageGenerationSize < total; gen++ {
+		for gen := 0; gen*coverageGeneration < total; gen++ {
 			var corpus []string
-			for _, rr := range full.Runs[:gen*CoverageGenerationSize] {
+			for _, rr := range full.Runs[:gen*coverageGeneration] {
 				if rr.NewGraph {
 					corpus = append(corpus, rr.Token)
 				}
 			}
-			genRuns := CoverageGenerationSize
-			if rest := total - gen*CoverageGenerationSize; rest < genRuns {
+			genRuns := coverageGeneration
+			if rest := total - gen*coverageGeneration; rest < genRuns {
 				genRuns = rest
 			}
 			for _, w := range shardWindows(genRuns, width) {
-				start := gen*CoverageGenerationSize + w[0]
+				start := gen*coverageGeneration + w[0]
 				spec := ShardSpec{Strategy: StrategyCoverage, Seed: 11, Start: start, Runs: w[1], Corpus: corpus}
 				runs := runShard(t, tg, spec, nil)
 				for j, got := range runs {

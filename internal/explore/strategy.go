@@ -80,6 +80,22 @@ type Feedback struct {
 	Ticks    int
 }
 
+// newFeedback pairs a run's record with its choice-point recording.
+func newFeedback(rr RunResult, picks, domains []int, independent []bool) Feedback {
+	return Feedback{
+		Index:       rr.Index,
+		Token:       rr.Token,
+		Picks:       picks,
+		Domains:     domains,
+		Independent: independent,
+		Fingerprint: rr.Fingerprint,
+		NewGraph:    rr.NewGraph,
+		Warnings:    rr.Warnings,
+		Err:         rr.Err,
+		Ticks:       rr.Ticks,
+	}
+}
+
 // Strategy chooses which schedules to execute, using per-run feedback.
 // It replaces the old closed string enum: a strategy is an object the
 // engine converses with, not a label it switches on.
@@ -141,6 +157,21 @@ type CoverageReporter interface {
 	CoverageStats() CoverageStats
 }
 
+// Sharder is implemented by every built-in strategy: it cuts the
+// strategy's run sequence into ShardSpecs that ShardStrategy replays
+// elsewhere, run for run as Plan would have planned them. A fleet
+// coordinator drives a Strategy through Shard instead of Plan, and
+// feeds every completed run back through Observe in run-index order.
+type Sharder interface {
+	// Shard describes the runs [start, start+n) for some 1 <= n <= max,
+	// or answers PlanWait (the window depends on feedback from runs
+	// before start that have not been observed yet) or PlanDone (no run
+	// start exists). The width n depends only on start, max and the
+	// observed runs' feedback — never on when Shard is asked — so the
+	// cut sequence is the same on every execution of the same plan.
+	Shard(start, max int) (ShardSpec, PlanState)
+}
+
 // StrategyParams carries the CLI/server-level strategy knobs; fields
 // irrelevant to the named strategy are ignored.
 type StrategyParams struct {
@@ -153,7 +184,8 @@ type StrategyParams struct {
 }
 
 // StrategyFor builds a built-in strategy by name (empty means random) —
-// the bridge from flag/JSON surfaces to the Strategy interface.
+// the bridge from flag/JSON surfaces to the Strategy interface. Every
+// strategy it returns also implements Sharder.
 func StrategyFor(name string, p StrategyParams) (Strategy, error) {
 	switch name {
 	case "", StrategyRandom:
@@ -222,6 +254,12 @@ func (s *randomStrategy) Observe(fb Feedback) {
 	}
 }
 
+// Shard implements Sharder: run i depends only on seed+i, so every
+// window is formable at once.
+func (s *randomStrategy) Shard(start, max int) (ShardSpec, PlanState) {
+	return ShardSpec{Strategy: StrategyRandom, Seed: s.seed, Start: start, Runs: max}, PlanReady
+}
+
 // delayStrategy: delay-bounded sampling; feedback is ignored.
 type delayStrategy struct {
 	seed  int64
@@ -246,6 +284,11 @@ func (s *delayStrategy) Plan(i int) (PickFunc, PlanState) {
 
 func (s *delayStrategy) Observe(Feedback) {}
 
+// Shard implements Sharder, like randomStrategy.Shard.
+func (s *delayStrategy) Shard(start, max int) (ShardSpec, PlanState) {
+	return ShardSpec{Strategy: StrategyDelay, Seed: s.seed, Start: start, Runs: max, DelayBound: s.bound}, PlanReady
+}
+
 // exhaustiveStrategy owns the breadth-first frontier of forced pick
 // prefixes. Each observed run exposes the branching domains along its
 // schedule; unvisited siblings (non-zero picks at positions past the
@@ -258,8 +301,12 @@ func (s *delayStrategy) Observe(Feedback) {}
 // non-zero independence keys), so one order — the default — represents
 // the equivalence class, and the skipped alternatives are counted in
 // PrunedPicks.
+//
+// A frozen strategy plays a fixed queue (one shard's prefixes) and
+// ignores feedback.
 type exhaustiveStrategy struct {
 	por      bool
+	frozen   bool
 	queue    [][]int // discovered prefixes, in BFS order
 	planned  int     // runs handed out (next plan index)
 	observed int     // runs fed back
@@ -293,6 +340,9 @@ func (s *exhaustiveStrategy) Plan(i int) (PickFunc, PlanState) {
 }
 
 func (s *exhaustiveStrategy) Observe(fb Feedback) {
+	if s.frozen {
+		return
+	}
 	s.observed++
 	prefix := s.queue[fb.Index]
 	for pos := len(prefix); pos < len(fb.Domains); pos++ {
@@ -307,6 +357,28 @@ func (s *exhaustiveStrategy) Observe(fb Feedback) {
 			s.queue = append(s.queue, child)
 		}
 	}
+}
+
+// Shard implements Sharder. The frontier only grows, so a full-width
+// window is cut as soon as max unplanned prefixes are known; a shorter
+// one only once every run before start has been observed, when no
+// sibling can still join it. Either way the width is fixed by the
+// feedback of the runs before start, not by when Shard is asked.
+func (s *exhaustiveStrategy) Shard(start, max int) (ShardSpec, PlanState) {
+	n := len(s.queue) - start
+	switch {
+	case n >= max:
+		n = max
+	case s.observed < start:
+		return ShardSpec{}, PlanWait
+	case n <= 0:
+		return ShardSpec{}, PlanDone
+	}
+	prefixes := make([]string, n)
+	for k, p := range s.queue[start : start+n] {
+		prefixes[k] = Schedule{Picks: p}.Token()
+	}
+	return ShardSpec{Strategy: StrategyExhaustive, Start: start, Runs: n, Prefixes: prefixes}, PlanReady
 }
 
 // Exhausted implements SpaceReporter: true when every discovered prefix
@@ -339,8 +411,12 @@ type corpusEntry struct {
 // corpus entry (0-based) is drawn with weight k+1, so fresh discoveries
 // — whose neighborhoods are least explored — get the most mutation
 // budget.
+//
+// A frozen strategy plans every run against its whole corpus (one
+// shard's snapshot) and ignores feedback.
 type coverageStrategy struct {
 	seed       int64
+	frozen     bool
 	entries    []corpusEntry
 	boundaries []int // corpus size visible to each generation
 	observed   int
@@ -355,13 +431,16 @@ func NewCoverage(seed int64) Strategy {
 func (s *coverageStrategy) Name() string { return StrategyCoverage }
 
 func (s *coverageStrategy) Plan(i int) (PickFunc, PlanState) {
-	g := i / coverageGeneration
-	if g >= len(s.boundaries) {
-		// Generation g opens only after every run of generations < g has
-		// been observed.
-		return nil, PlanWait
+	corpus := s.entries
+	if !s.frozen {
+		g := i / coverageGeneration
+		if g >= len(s.boundaries) {
+			// Generation g opens only after every run of generations < g
+			// has been observed.
+			return nil, PlanWait
+		}
+		corpus = s.entries[:s.boundaries[g]]
 	}
-	corpus := s.entries[:s.boundaries[g]]
 	rng := rand.New(rand.NewSource(s.seed + int64(i)))
 	// One run in four stays purely random so the walk keeps discovering
 	// schedules no corpus neighborhood reaches.
@@ -373,6 +452,9 @@ func (s *coverageStrategy) Plan(i int) (PickFunc, PlanState) {
 }
 
 func (s *coverageStrategy) Observe(fb Feedback) {
+	if s.frozen {
+		return
+	}
 	if fb.NewGraph {
 		s.entries = append(s.entries, corpusEntry{picks: append([]int(nil), fb.Picks...)})
 	}
@@ -380,6 +462,22 @@ func (s *coverageStrategy) Observe(fb Feedback) {
 	if s.observed%coverageGeneration == 0 {
 		s.boundaries = append(s.boundaries, len(s.entries))
 	}
+}
+
+// Shard implements Sharder: a window stays inside one generation and
+// carries that generation's corpus snapshot, so it opens only once
+// every run of the earlier generations has been observed.
+func (s *coverageStrategy) Shard(start, max int) (ShardSpec, PlanState) {
+	g := start / coverageGeneration
+	if g >= len(s.boundaries) {
+		return ShardSpec{}, PlanWait
+	}
+	corpus := make([]string, s.boundaries[g])
+	for k, e := range s.entries[:len(corpus)] {
+		corpus[k] = Schedule{Picks: e.picks}.Token()
+	}
+	n := min(max, (g+1)*coverageGeneration-start)
+	return ShardSpec{Strategy: StrategyCoverage, Seed: s.seed, Start: start, Runs: n, Corpus: corpus}, PlanReady
 }
 
 // CoverageStats implements CoverageReporter (CorpusSize only).

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -215,6 +216,11 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 				return nil, &permanentError{err: fmt.Errorf("fleet: %s: run %d has fingerprint %q, want version %s (the worker runs a different build)",
 					c.base, line.Index, fp, asyncgraph.FingerprintVersion)}
 			}
+			if err := checkRun(line.RunResult, spec); err != nil {
+				// The run cannot be fed to the strategy; the worker is broken
+				// or speaks another protocol, and a retry would not fix it.
+				return nil, &permanentError{err: fmt.Errorf("fleet: %s: %v", c.base, err)}
+			}
 			out.Runs = append(out.Runs, line.RunResult)
 		case explore.KindSummary:
 			summarySeen = true
@@ -234,6 +240,32 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 		return nil, fmt.Errorf("fleet: %s: got %d run lines, want %d (job %s)", c.base, len(out.Runs), spec.Runs, jobID)
 	}
 	return out, nil
+}
+
+// checkRun validates one worker run line at the fleet's trust boundary:
+// its token and choice-point recording must decode into strategy
+// feedback (explore.FeedbackOf), and an exhaustive run must have
+// recorded the choice points of its shard prefix and followed it —
+// otherwise its frontier expansion would be wrong.
+func checkRun(rr explore.RunResult, spec explore.ShardSpec) error {
+	fb, err := explore.FeedbackOf(rr)
+	if err != nil {
+		return err
+	}
+	if spec.Strategy != explore.StrategyExhaustive {
+		return nil
+	}
+	if rr.Index >= len(spec.Prefixes) {
+		return fmt.Errorf("run %d is past the shard's %d runs", rr.Index, len(spec.Prefixes))
+	}
+	prefix, err := explore.ParseToken(spec.Prefixes[rr.Index])
+	if err != nil {
+		return err
+	}
+	if len(rr.Domains) < len(prefix.Picks) || !slices.Equal(fb.Picks[:len(prefix.Picks)], prefix.Picks) {
+		return fmt.Errorf("run %d (token %s, %d domains) did not follow its prefix %s", rr.Index, rr.Token, len(rr.Domains), spec.Prefixes[rr.Index])
+	}
+	return nil
 }
 
 // runShard is the per-attempt unit: health probe, submit, stream. On a

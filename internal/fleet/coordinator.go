@@ -3,16 +3,18 @@
 // reassembles their partial results into output byte-identical to a
 // single-process explore.Run at the same budget.
 //
-// The schedule space is sharded deterministically per strategy — seed
+// The coordinator drives the plan's own explore.Strategy: its Shard
+// method cuts the run sequence into deterministic ShardSpecs — seed
 // index ranges for random/delay, generation-boundary windows carrying a
 // frozen corpus snapshot for coverage, breadth-first replay-token prefix
-// ranges for exhaustive — so every shard is a self-contained job any
-// worker can execute via the jobs API. The coordinator consumes each
-// job's live NDJSON stream, normalizes runs back into global index
-// order (recomputing the cross-run NewGraph/corpus/pruning bookkeeping
-// that individual workers cannot know), merges the per-shard
-// trace.Snapshots with the existing commutative Merge, and re-derives
-// the fingerprint/warning/category censuses with explore.Finalize.
+// ranges for exhaustive — each a self-contained job any worker can
+// execute via the jobs API. The coordinator consumes each job's live
+// NDJSON stream, normalizes runs back into global index order
+// (recomputing the cross-run NewGraph bookkeeping that individual
+// workers cannot know), feeds every run to the strategy's Observe
+// through explore.FeedbackOf, merges the per-shard trace.Snapshots with
+// the existing commutative Merge, and re-derives the
+// fingerprint/warning/category censuses with explore.Finalize.
 //
 // Every completed shard is committed to a write-ahead journal before it
 // counts, so a killed coordinator resumes from its last completed shard
@@ -83,22 +85,24 @@ func (p Plan) withDefaults() Plan {
 	return p
 }
 
-func (p Plan) validate() error {
+// strategy validates the plan and builds its walk. The fleet drives
+// explore's own strategy, so shards replay exactly the runs it would
+// plan in process.
+func (p Plan) strategy() (explore.Strategy, error) {
 	if p.Target == "" {
-		return errors.New("fleet: plan needs a target")
+		return nil, errors.New("fleet: plan needs a target")
 	}
 	if p.Runs < 0 {
-		return fmt.Errorf("fleet: negative run budget %d", p.Runs)
+		return nil, fmt.Errorf("fleet: negative run budget %d", p.Runs)
 	}
 	if _, err := explore.ParseKinds(p.Kinds); err != nil {
-		return err
+		return nil, err
 	}
-	switch p.Strategy {
-	case explore.StrategyRandom, explore.StrategyDelay, explore.StrategyExhaustive, explore.StrategyCoverage:
-		return nil
-	default:
-		return fmt.Errorf("fleet: unknown strategy %q", p.Strategy)
-	}
+	return explore.StrategyFor(p.Strategy, explore.StrategyParams{
+		Seed:       p.Seed,
+		DelayBound: p.DelayBound,
+		POR:        p.POR,
+	})
 }
 
 // equal compares plans for the resume check (JSON-normalized, so only
@@ -198,7 +202,8 @@ type shardResult struct {
 // the journal intact, so a later Resume run picks up where it stopped.
 func Run(ctx context.Context, cfg Config) (*explore.Result, *Stats, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Plan.validate(); err != nil {
+	strat, err := cfg.Plan.strategy()
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(cfg.Workers) == 0 {
@@ -211,25 +216,22 @@ func Run(ctx context.Context, cfg Config) (*explore.Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pl, err := plannerFor(cfg.Plan)
-	if err != nil {
-		return nil, nil, err
-	}
 	jr, err := openJournal(cfg.Dir, cfg.Plan, cfg.Resume)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer jr.close()
 
-	c := &coordinator{cfg: cfg, target: target, planner: pl, journal: jr}
+	c := &coordinator{cfg: cfg, target: target, strategy: strat, sharder: strat.(explore.Sharder), journal: jr}
 	return c.run(ctx)
 }
 
 type coordinator struct {
-	cfg     Config
-	target  explore.Target
-	planner planner
-	journal *journal
+	cfg      Config
+	target   explore.Target
+	strategy explore.Strategy
+	sharder  explore.Sharder // the same strategy, cutting shards
+	journal  *journal
 
 	pool    *workerPool // idle workers; one in-flight shard per worker
 	results chan shardResult
@@ -258,6 +260,8 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 	nextObserve := 0
 	pending := make(map[int]shardResult)
 	shardCount := 0
+	nextStart := 0 // global index of the next shard's first run
+	planDone := false
 	var fatal error
 
 	// drain waits out in-flight dispatches after a failure or cancel, so
@@ -271,19 +275,27 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 
 	for {
 		// progressed records whether this iteration formed or absorbed
-		// anything: a feedback-gated planner (coverage, exhaustive) only
-		// yields more shards after absorbing, so the loop must circle back
+		// anything: a feedback-gated strategy (coverage, exhaustive) only
+		// cuts more shards after absorbing, so the loop must circle back
 		// to forming — and an iteration with no progress, nothing in
 		// flight, and an unfinished plan is a genuine stall.
 		progressed := false
 
-		// Form every shard the planner will yield and the worker pool can
+		// Form every shard the strategy will cut and the worker pool can
 		// hold; journaled shards complete instantly, skipping dispatch.
-		for inFlight < len(cfg.Workers) {
-			spec, ok := c.planner.next()
-			if !ok {
+		for !planDone && inFlight < len(cfg.Workers) {
+			if nextStart >= cfg.Plan.Runs {
+				planDone = true
 				break
 			}
+			spec, state := c.sharder.Shard(nextStart, min(cfg.Plan.ShardRuns, cfg.Plan.Runs-nextStart))
+			if state == explore.PlanDone {
+				planDone = true
+			}
+			if state != explore.PlanReady {
+				break
+			}
+			nextStart += spec.Runs
 			progressed = true
 			idx := shardCount
 			shardCount++
@@ -331,11 +343,11 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 		}
 
 		if inFlight == 0 {
-			if c.planner.done() && len(pending) == 0 {
+			if planDone && len(pending) == 0 {
 				break
 			}
 			if !progressed {
-				fatal = errors.New("fleet: planner stalled with no work in flight")
+				fatal = errors.New("fleet: strategy stalled with no work in flight")
 				break
 			}
 			continue
@@ -362,10 +374,10 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 	if fatal == nil {
 		fatal = ctx.Err()
 	}
-	if fatal == nil {
-		c.res.Exhausted = c.planner.exhausted()
+	if sr, ok := c.strategy.(explore.SpaceReporter); ok && fatal == nil {
+		c.res.Exhausted = sr.Exhausted()
 	}
-	st := c.planner.stats()
+	st := c.coverageStats()
 	c.res.CorpusSize = st.CorpusSize
 	c.res.PrunedPicks = st.PrunedPicks
 	explore.Finalize(c.target, c.res)
@@ -388,7 +400,7 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 		Kinds:       c.cfg.Plan.Kinds,
 		NoMetrics:   !c.cfg.Plan.Metrics,
 		DebugStacks: c.cfg.Plan.DebugStacks,
-		// The exhaustive planner expands the frontier from each run's
+		// The exhaustive strategy expands its frontier from each run's
 		// choice-point recording; other strategies keep the wire lean.
 		Feedback: spec.Strategy == explore.StrategyExhaustive,
 		Shard:    &spec,
@@ -480,7 +492,7 @@ func (p *workerPool) put(cl *client) {
 // absorb folds one completed shard into the global result, run by run in
 // local order: assert the worker's indices, re-index into global order,
 // recompute the cross-run feedback (NewGraph against the global census),
-// feed the planner, stamp the planner's running stats, and strip the
+// feed the strategy's Observe, stamp its running stats, and strip the
 // wire-only feedback fields — after which each RunResult is exactly what
 // the single-process coordinator would have emitted.
 func (c *coordinator) absorb(sr shardResult) error {
@@ -495,8 +507,12 @@ func (c *coordinator) absorb(sr shardResult) error {
 			rr.NewGraph = true
 		}
 		rr.NewGraphs = len(c.seen)
-		c.planner.observe(rr)
-		st := c.planner.stats()
+		fb, err := explore.FeedbackOf(rr)
+		if err != nil {
+			return fmt.Errorf("fleet: shard %d: %w", sr.idx, err)
+		}
+		c.strategy.Observe(fb)
+		st := c.coverageStats()
 		rr.CorpusSize = st.CorpusSize
 		rr.PrunedPicks = st.PrunedPicks
 		rr.Domains, rr.Independent = nil, nil
@@ -512,4 +528,13 @@ func (c *coordinator) absorb(sr shardResult) error {
 		c.res.Metrics.Merge(sr.out.Metrics)
 	}
 	return nil
+}
+
+// coverageStats reads the strategy's running corpus and pruning counts
+// (zero for strategies that keep neither).
+func (c *coordinator) coverageStats() explore.CoverageStats {
+	if cr, ok := c.strategy.(explore.CoverageReporter); ok {
+		return cr.CoverageStats()
+	}
+	return explore.CoverageStats{}
 }

@@ -3,15 +3,17 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,23 +179,45 @@ func TestFleetChainsMatchSingleProcess(t *testing.T) {
 
 // TestFleetResumeCompletedJournal re-runs a finished journal: every
 // shard must load from disk, none may re-dispatch, and the Result must
-// be unchanged.
+// be unchanged. Resume re-forms the shards and compares each with its
+// journaled spec, so this only holds if the cuts do not depend on
+// completion timing — the exhaustive rows, whose cuts follow the
+// frontier, are repeated to catch one that does.
 func TestFleetResumeCompletedJournal(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyCoverage, Seed: 11, Runs: 24, ShardRuns: 5}
+	exhaustive := Plan{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 60, Kinds: "io-order,latency", ShardRuns: 3}
+	por := exhaustive
+	por.POR = true
+	rows := []struct {
+		name    string
+		plan    Plan
+		repeats int
+	}{
+		{"random", Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16, ShardRuns: 5}, 1},
+		{"delay", Plan{Target: caseTarget, Strategy: explore.StrategyDelay, Seed: 7, Runs: 16, ShardRuns: 5}, 1},
+		{"coverage", Plan{Target: caseTarget, Strategy: explore.StrategyCoverage, Seed: 11, Runs: 24, ShardRuns: 5}, 1},
+		{"exhaustive", exhaustive, 10},
+		{"exhaustive-por", por, 10},
+	}
 	workers := startWorkers(t, 2)
-	dir := t.TempDir()
-	res1, stats1, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for rep := 0; rep < row.repeats; rep++ {
+				dir := t.TempDir()
+				res1, stats1, err := Run(context.Background(), Config{Plan: row.plan, Workers: workers, Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res2, stats2, err := Run(context.Background(), Config{Plan: row.plan, Workers: workers, Dir: dir, Resume: true})
+				if err != nil {
+					t.Fatalf("repetition %d: %v", rep, err)
+				}
+				if stats2.Dispatched != 0 || stats2.Resumed != stats1.Shards {
+					t.Errorf("repetition %d: resume stats: %+v, want all %d shards resumed", rep, stats2, stats1.Shards)
+				}
+				checkIdentical(t, res2, res1)
+			}
+		})
 	}
-	res2, stats2, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.Dispatched != 0 || stats2.Resumed != stats1.Shards {
-		t.Errorf("resume stats: %+v, want all %d shards resumed", stats2, stats1.Shards)
-	}
-	checkIdentical(t, res2, res1)
 }
 
 // TestFleetResumeAfterCancel kills a coordinator mid-run (context
@@ -367,40 +391,137 @@ func TestFleetRefusesOldJournalVersion(t *testing.T) {
 	}
 }
 
-// TestFleetRejectsForeignFingerprints: a worker whose runs carry another
-// fingerprint version (an older build) fails its shard permanently,
-// without retries, instead of splitting the merged census.
-func TestFleetRejectsForeignFingerprints(t *testing.T) {
-	var submits atomic.Int32
+// fakeWorker serves the jobs API with canned streams: run j of a
+// submitted shard is the JSON object run(spec, j) returns, minus its
+// kind. submits reports how often each shard (by start) was submitted.
+func fakeWorker(t *testing.T, run func(spec explore.ShardSpec, j int) string) (url string, submits func() map[int]int) {
+	t.Helper()
+	var mu sync.Mutex
+	specs := map[string]explore.ShardSpec{}
+	counts := map[int]int{}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/healthz":
 			fmt.Fprint(w, `{"status":"ok"}`)
 		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			submits.Add(1)
+			var jr jobRequest
+			if err := json.NewDecoder(r.Body).Decode(&jr); err != nil || jr.Shard == nil {
+				w.WriteHeader(http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			id := fmt.Sprintf("job-%d", len(specs)+1)
+			specs[id] = *jr.Shard
+			counts[jr.Shard.Start]++
+			mu.Unlock()
 			w.WriteHeader(http.StatusAccepted)
-			fmt.Fprint(w, `{"id":"job-1","status":"queued"}`)
+			fmt.Fprintf(w, `{"id":%q,"status":"queued"}`, id)
 		case strings.HasSuffix(r.URL.Path, "/stream"):
-			fmt.Fprintf(w, `{"kind":%q,"index":0,"token":"s1.","fingerprint":"ag1-9580bf92268ab579","ticks":2}`+"\n", explore.KindRun)
-			fmt.Fprintf(w, `{"kind":%q,"runs":1}`+"\n", explore.KindSummary)
+			mu.Lock()
+			spec := specs[strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/stream")]
+			mu.Unlock()
+			for j := 0; j < spec.Runs; j++ {
+				fmt.Fprintf(w, `{"kind":%q,"index":%d,%s}`+"\n", explore.KindRun, j, run(spec, j))
+			}
+			fmt.Fprintf(w, `{"kind":%q,"runs":%d}`+"\n", explore.KindSummary, spec.Runs)
 		}
 	}))
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts.URL, func() map[int]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(counts)
+	}
+}
 
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 1, ShardRuns: 1}
+// runFleetOn runs p against one worker with a short retry budget.
+func runFleetOn(t *testing.T, p Plan, url string) error {
+	t.Helper()
 	_, _, err := Run(context.Background(), Config{
 		Plan:        p,
-		Workers:     []string{ts.URL},
+		Workers:     []string{url},
 		Dir:         t.TempDir(),
 		BackoffBase: time.Millisecond,
 		BackoffCap:  5 * time.Millisecond,
 		MaxAttempts: 4,
 	})
-	if err == nil || !strings.Contains(err.Error(), "different build") {
+	return err
+}
+
+// TestFleetRejectsForeignFingerprints: a worker whose runs carry another
+// fingerprint version (an older build) fails its shard permanently,
+// without retries, instead of splitting the merged census.
+func TestFleetRejectsForeignFingerprints(t *testing.T) {
+	url, submits := fakeWorker(t, func(explore.ShardSpec, int) string {
+		return `"token":"s1.","fingerprint":"ag1-9580bf92268ab579","ticks":2`
+	})
+	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 1, ShardRuns: 1}
+	if err := runFleetOn(t, p, url); err == nil || !strings.Contains(err.Error(), "different build") {
 		t.Fatalf("run against an ag1 worker: %v, want a fingerprint-version error", err)
 	}
-	if n := submits.Load(); n != 1 {
+	if n := submits()[0]; n != 1 {
 		t.Errorf("shard submitted %d times, want 1 (a version mismatch is permanent)", n)
+	}
+}
+
+// TestFleetRejectsMalformedRuns: a run line the strategy cannot observe
+// — a token that does not parse, picks outside the recorded domains,
+// independence flags that do not match them, or an exhaustive run that
+// did not follow (or did not record) its shard prefix — fails its shard
+// permanently with one submit, and never panics the coordinator.
+func TestFleetRejectsMalformedRuns(t *testing.T) {
+	const fp = `"fingerprint":"ag2-0000000000000001","ticks":2`
+	random := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 2, ShardRuns: 2}
+	exhaustive := Plan{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 8, ShardRuns: 4}
+	// root answers the exhaustive root shard honestly: one binary choice
+	// point, so the frontier grows a child with prefix s1.AQ (picks [1]).
+	root := func(spec explore.ShardSpec, j int, child string) string {
+		if spec.Start == 0 {
+			return `"token":"s1.",` + fp + `,"domains":[2],"independent":[false]`
+		}
+		return child
+	}
+	rows := []struct {
+		name string
+		plan Plan
+		run  func(spec explore.ShardSpec, j int) string
+		want string
+	}{
+		{"random-bad-token", random, func(explore.ShardSpec, int) string {
+			return `"token":"garbage",` + fp
+		}, "missing"},
+		{"exhaustive-bad-token", exhaustive, func(explore.ShardSpec, int) string {
+			return `"token":"garbage",` + fp + `,"domains":[2],"independent":[false]`
+		}, "missing"},
+		{"pick-exceeds-domain", exhaustive, func(explore.ShardSpec, int) string {
+			return `"token":"s1.Ag",` + fp + `,"domains":[2],"independent":[false]`
+		}, "outside its domain"},
+		{"picks-past-domains", exhaustive, func(explore.ShardSpec, int) string {
+			return `"token":"s1.AQE",` + fp + `,"domains":[2],"independent":[false]`
+		}, "picks for 1 domains"},
+		{"independent-mismatch", exhaustive, func(explore.ShardSpec, int) string {
+			return `"token":"s1.",` + fp + `,"domains":[2,2],"independent":[false]`
+		}, "independence flags"},
+		{"prefix-not-followed", exhaustive, func(spec explore.ShardSpec, j int) string {
+			return root(spec, j, `"token":"s1.",`+fp+`,"domains":[2],"independent":[false]`)
+		}, "did not follow its prefix"},
+		{"domains-dropped", exhaustive, func(spec explore.ShardSpec, j int) string {
+			return root(spec, j, `"token":"s1.AQ",`+fp)
+		}, "did not follow its prefix"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			url, submits := fakeWorker(t, row.run)
+			err := runFleetOn(t, row.plan, url)
+			if err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("err = %v, want a shard error containing %q", err, row.want)
+			}
+			for start, n := range submits() {
+				if n != 1 {
+					t.Errorf("shard at %d submitted %d times, want 1 (a malformed run is permanent)", start, n)
+				}
+			}
+		})
 	}
 }
 

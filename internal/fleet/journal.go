@@ -30,7 +30,7 @@ import (
 //	                 record — a half-written shard never resumes.
 //
 // Resume replays deterministic planning from plan.json and feeds each
-// re-formed shard through the same observe path, loading journaled
+// re-formed shard through the same Observe path, loading journaled
 // shards instead of dispatching them. The status log is observability
 // (and what the smoke test asserts on); the shard files are the truth.
 
@@ -43,8 +43,11 @@ const (
 // planFileVersion guards against resuming a journal written by an
 // incompatible coordinator. Version 2 journals hold fingerprints of
 // asyncgraph.FingerprintVersion "ag2"; a version-1 journal's "ag1"
-// fingerprints would never match the runs a resume adds.
-const planFileVersion = 2
+// fingerprints would never match the runs a resume adds. Version 3
+// cuts exhaustive shards deterministically and journals the default
+// delay bound, so a version-2 journal's specs need not match the ones
+// a resume re-forms.
+const planFileVersion = 3
 
 type planFile struct {
 	Version int  `json:"version"`

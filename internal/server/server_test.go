@@ -26,7 +26,7 @@ import (
 func spinTarget(string) (explore.Target, error) {
 	return explore.Target{
 		Name: "spin",
-		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
+		NewRunner: oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) {
 			opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 1 << 40})}, extra...)
 			s := asyncg.New(opts...)
 			return s.Run(func(ctx *asyncg.Context) {
@@ -37,17 +37,28 @@ func spinTarget(string) (explore.Target, error) {
 				})
 				ctx.SetImmediate(spin)
 			})
-		},
+		}),
 	}, nil
 }
+
+// oneShot adapts a run function that builds a fresh runtime per call to
+// Target.NewRunner: its runners have nothing to Reset.
+func oneShot(run func(extra ...asyncg.Option) (*asyncg.Report, error)) func() explore.Runner {
+	return func() explore.Runner { return runOnly(run) }
+}
+
+type runOnly func(extra ...asyncg.Option) (*asyncg.Report, error)
+
+func (f runOnly) Run(extra ...asyncg.Option) (*asyncg.Report, error) { return f(extra...) }
+func (runOnly) Reset()                                               {}
 
 // panicTarget blows up mid-run; the worker must survive it.
 func panicTarget(string) (explore.Target, error) {
 	return explore.Target{
 		Name: "panic",
-		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
+		NewRunner: oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) {
 			panic("deliberate test panic")
-		},
+		}),
 	}, nil
 }
 
@@ -625,10 +636,10 @@ func TestStreamFollowsLive(t *testing.T) {
 		if err != nil {
 			return tg, err
 		}
-		inner := tg.Run
+		inner := tg.NewRunner
 		n := 0
 		var mu sync.Mutex
-		tg.Run = func(extra ...asyncg.Option) (*asyncg.Report, error) {
+		tg.NewRunner = oneShot(func(extra ...asyncg.Option) (*asyncg.Report, error) {
 			mu.Lock()
 			n++
 			wait := n > 1
@@ -636,8 +647,8 @@ func TestStreamFollowsLive(t *testing.T) {
 			if wait {
 				<-block
 			}
-			return inner(extra...)
-		}
+			return inner().Run(extra...)
+		})
 		return tg, nil
 	}
 	s := New(Config{QueueSize: 2, Workers: 1, LookupTarget: lookup})
